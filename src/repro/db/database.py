@@ -279,12 +279,12 @@ class Database:
         persistence load, rollback) never reach this method — their
         version bump alone lazily invalidates every cached result.
 
-        ``shard_writes`` (class → exact shard ids, per-shard commits
+        ``shard_writes`` (class → exact shard ids, sharded classes
         only) lets the plan cache keep entries whose recorded reads
         were confined to disjoint shards of the written classes.
-        ``adds`` (extent → newly added oids, when the commit path knows
-        them) lets the statistics catalog fold an ``A``-only commit's
-        rows into its column stats instead of evicting them.
+        ``adds`` (extent → newly added oids, passed by every ``A``-only
+        commit) lets the statistics catalog fold the commit's rows into
+        its column stats instead of evicting them.
         """
         post = self._state_version
         if post == pre_version:
@@ -499,49 +499,6 @@ class Database:
         if wal is not None:
             wal.close()
 
-    def _wal_commit_record(
-        self, stmt: str, effect: Effect, post_ee: ExtentEnv, post_oe: ObjectEnv
-    ) -> dict:
-        """The physical delta of one commit, bounded by its static effect.
-
-        Theorem 5 bounds the commit's dynamic trace by ``effect``, so an
-        ``A``-only commit can log just the extents its ``A`` atoms name
-        (new membership wholesale — replay is then idempotent) plus the
-        records of the objects that joined them.  Any ``U`` atom forces
-        a full record: in-place updates reach objects through reference
-        chains the ``R``-set does not name (the §5 caveat, the same
-        coarsening ``repro.sched`` applies to updaters).
-        """
-        from repro.db.persistence import value_to_json
-
-        if effect.updates():
-            return self._wal_full_record(stmt, effect, post_ee, post_oe)
-        pre_ee = self._ee
-        extents: dict[str, list[str]] = {}
-        objects: dict[str, dict] = {}
-        for cname in sorted(effect.adds()):
-            try:
-                extent = self.schema.class_extent(cname)
-            except Exception:
-                continue  # extent-less class: nothing durable to log
-            members = post_ee.members(extent)
-            extents[extent] = sorted(members)
-            for oid in sorted(members - pre_ee.members(extent)):
-                rec = post_oe.get(oid)
-                objects[oid] = {
-                    "class": rec.cname,
-                    "attrs": {a: value_to_json(v) for a, v in rec.attrs},
-                }
-        return {
-            "kind": "delta",
-            "stmt": stmt,
-            "defs_version": self._defs_version,
-            "effect": [str(a) for a in effect],
-            "extents": extents,
-            "objects": objects,
-            "next_oid": self.supply.state(),
-        }
-
     def _wal_full_record(
         self,
         stmt: str,
@@ -573,17 +530,20 @@ class Database:
             "next_oid": self.supply.state(),
         }
 
-    def _shard_delta_record(
+    def _adds_record(
         self, stmt: str, effect: Effect, extent_adds, shard_adds, result_oe
     ) -> dict:
-        """A shard-scoped refinement of the ``delta`` record.
+        """The ``shard-delta`` record of one ``A``-only commit.
 
-        ``adds`` carries only the oids that *joined* each touched extent
+        Theorem 5 bounds the commit's dynamic trace by ``effect``, so its
+        whole physical change is the objects that joined the extents
+        its ``A`` atoms name.  ``adds`` carries only those oids
         (additive — replay unions them in, which is idempotent and
-        commutes with the disjoint deltas of overlapped writers), and
-        ``shards`` buckets them by shard id for extents sharded at
-        commit time, so replicas can refine their watermarks per shard
-        without re-deriving the layout.
+        commutes with the disjoint deltas of overlapped writers), so the
+        record's size is independent of extent size.  ``shards``
+        buckets them by shard id for extents sharded at commit time
+        (empty when none is), so replicas can refine their watermarks
+        per shard without re-deriving the layout.
         """
         from repro.db.persistence import value_to_json
 
@@ -611,7 +571,7 @@ class Database:
             "next_oid": self.supply.state(),
         }
 
-    def _install_sharded(
+    def _install_adds(
         self,
         stmt: str,
         effect: Effect,
@@ -621,17 +581,20 @@ class Database:
         result_oe: ObjectEnv,
         pre: int,
     ) -> None:
-        """Commit an ``A``-only evaluation by per-shard delta install.
+        """Commit an ``A``-only evaluation by delta merge — the one path
+        every ``A``-only commit (``run`` and ``insert``) takes.
 
         Caller holds the commit lock.  Instead of replacing EE/OE with
         the evaluation's own post-environments wholesale, the commit's
         delta (new objects + extent joins, bounded by the static ``A``
         atoms per Theorem 5) is *merged* into the current environments.
-        This is what lets the scheduler overlap writers: deltas of
-        concurrent ``A``-only commits are disjoint (the oid supply is
-        globally monotone, so fresh oids never collide) and set union
-        commutes, so merge order only permutes oid names — absorbed by
-        ∼.  Ordering within the commit:
+        Deltas of concurrent ``A``-only commits are disjoint (the oid
+        supply is globally monotone, so fresh oids never collide) and
+        set union commutes, so merge order only permutes oid names —
+        absorbed by ∼ — and no overlapping writer is lost.  An
+        unsharded extent is the k=1 case: it has no shard stanza, and
+        its caches and watermarks stay per class.  Ordering within the
+        commit:
 
         1. ``shard.install`` fault sites fire per touched shard *first*
            — an injected fault aborts the whole commit atomically, with
@@ -676,7 +639,7 @@ class Database:
         }
         if self._wal is not None:
             lsn = self._wal.append(
-                self._shard_delta_record(
+                self._adds_record(
                     stmt, effect, extent_adds, shard_adds, result_oe
                 )
             )
@@ -761,28 +724,12 @@ class Database:
                 effect=str(effect),
                 version=pre,
             )
-            if self._shards.enabled:
-                self._install_sharded(
-                    f"insert {cname}", effect,
-                    self.ee, self.oe, new_ee, new_oe, pre,
-                )
-            else:
-                if self._wal is not None:
-                    # write-ahead: a failed append aborts the insert with
-                    # nothing installed (the burnt oid is absorbed by ∼)
-                    lsn = self._wal.append(
-                        self._wal_commit_record(
-                            f"insert {cname}", effect, new_ee, new_oe
-                        )
-                    )
-                    self._mark_written(lsn, effect)
-                self.oe = new_oe
-                self.ee = new_ee
-                self._note_write(
-                    effect,
-                    pre,
-                    adds={self.schema.class_extent(cname): (oid,)},
-                )
+            # write-ahead inside the install: a failed append aborts the
+            # insert with nothing installed (the burnt oid is absorbed by ∼)
+            self._install_adds(
+                f"insert {cname}", effect,
+                self.ee, self.oe, new_ee, new_oe, pre,
+            )
         if self._active_txn is not None:
             self._active_txn.record(Effect.of(add_effect(cname)))
         return OidRef(oid)
@@ -1054,7 +1001,7 @@ class Database:
         self._qstats["runs"] += 1
         if engine in self._qstats:
             self._qstats[engine] += 1
-        # the evaluation's base environments: the per-shard commit path
+        # the evaluation's base environments: an A-only commit
         # computes this run's delta against exactly what it read, then
         # merges the delta into whatever is current at install time
         base_ee, base_oe = self.ee, self.oe
@@ -1104,70 +1051,47 @@ class Database:
                     c_sp.set(
                         objects=len(result.oe), new_objects=new_objects
                     )
-                with self._commit_lock:
-                    pre = self._state_version
-                    if result.effect.writes():
+                effect = result.effect
+                # no write effect: by Theorem 5 the evaluation left EE/OE
+                # as it found them, so there is nothing to install
+                if effect.writes():
+                    with self._commit_lock:
+                        pre = self._state_version
                         # flight-record before the append so the ring
                         # shows commit intent → fault → detach in order
                         _flight.record(
                             "commit",
                             stmt=pretty(q)[:200],
-                            effect=str(result.effect),
+                            effect=str(effect),
                             version=pre,
                         )
-                    if (
-                        self._shards.enabled
-                        and result.effect.writes()
-                        and not result.effect.updates()
-                    ):
-                        # A-only commit with sharding on: per-shard
-                        # delta install instead of wholesale replacement
-                        self._install_sharded(
-                            pretty(q), result.effect,
-                            base_ee, base_oe, result.ee, result.oe, pre,
-                        )
-                    else:
-                        if self._wal is not None and result.effect.writes():
-                            # write-ahead: the record must be durable
-                            # before the state it describes becomes
-                            # observable; a failed append fails the
-                            # commit with nothing installed, so log and
-                            # memory always agree
-                            lsn = self._wal.append(
-                                self._wal_commit_record(
-                                    pretty(q), result.effect,
-                                    result.ee, result.oe,
+                        if effect.updates():
+                            # U: in-place updates reach objects through
+                            # reference chains the R-set does not name
+                            # (§5), so no delta bounds them — replace
+                            # EE/OE wholesale under a full record,
+                            # logged write-ahead: a failed append fails
+                            # the commit with nothing installed
+                            if self._wal is not None:
+                                lsn = self._wal.append(
+                                    self._wal_full_record(
+                                        pretty(q), effect,
+                                        result.ee, result.oe,
+                                    )
                                 )
+                                self._mark_written(lsn, effect)
+                            # OE before EE: a concurrent snapshot reader
+                            # loads ee then oe, so this order can never
+                            # pair a new extent set with an object env
+                            # missing its members
+                            self.oe = result.oe
+                            self.ee = result.ee
+                            self._note_write(effect, pre)
+                        else:
+                            self._install_adds(
+                                pretty(q), effect,
+                                base_ee, base_oe, result.ee, result.oe, pre,
                             )
-                            self._mark_written(lsn, result.effect)
-                        # OE before EE: a concurrent snapshot reader
-                        # loads ee then oe, so this order can never pair
-                        # a new extent set with an object env missing
-                        # its members
-                        self.oe = result.oe
-                        self.ee = result.ee
-                        adds = None
-                        if (
-                            result.effect.adds()
-                            and not result.effect.updates()
-                        ):
-                            # A-only: the new members per extent are
-                            # exactly the EE delta (Theorem 5 bounds the
-                            # touched extents by the static A atoms), so
-                            # the stats catalog can fold them in rather
-                            # than rebuild from scratch
-                            adds = {
-                                self.schema.class_extent(c): (
-                                    result.ee.members(
-                                        self.schema.class_extent(c)
-                                    )
-                                    - base_ee.members(
-                                        self.schema.class_extent(c)
-                                    )
-                                )
-                                for c in result.effect.adds()
-                            }
-                        self._note_write(result.effect, pre, adds=adds)
                 if self._active_txn is not None:
                     self._active_txn.record(result.effect)
         return result
@@ -1272,14 +1196,21 @@ class Database:
         Re-declaring replaces the previous layout.  Commits touching a
         sharded extent install per-shard (see ``docs/PERFORMANCE.md``);
         results and final states are provably identical to the
-        unsharded database.  The spec is persisted by checkpoints, not
-        by the WAL — re-declare after a WAL-only recovery.
+        unsharded database.  The layout is durable: a write-ahead
+        ``shard`` record carries it, and checkpoints embed it.
         """
         from repro.db.shards import validate_spec
 
         self._check_fenced()
         spec = validate_spec(self.schema, cname, by, k)
         with self._commit_lock:
+            if self._wal is not None:
+                lsn = self._wal.append(
+                    {"kind": "shard", "class": cname, "k": k, "by": by}
+                )
+                # a layout change re-keys every per-shard watermark: it
+                # advances the star mark, like a definition
+                self._mark_written(lsn, None)
             self._shards.set_spec(spec)
             # plans compiled without the spec carry no pruning stage;
             # recompiling is cheap and the layout change is rare

@@ -191,9 +191,7 @@ def dump_database(db: Database, odl_source: str) -> dict:
     }
     shards = getattr(db, "_shards", None)
     if shards is not None and shards.enabled:
-        # layout only — the partition itself is recomputed on load.
-        # Shard declarations travel in checkpoints, not the WAL, so a
-        # WAL-only recovery must re-declare (see Database.shard).
+        # layout only — the partition itself is recomputed on load
         doc["sharding"] = [
             {"class": spec.cname, "by": spec.by, "k": spec.k}
             for spec in sorted(

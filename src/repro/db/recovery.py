@@ -23,9 +23,10 @@ EE/OE store:
 4. advance the oid supply past every logged allocation, so the
    recovered database never re-issues a spent oid.
 
-Replay applies the records' *physical* deltas (extent memberships and
-object records restricted to the commit's static R∪A∪U effect, per
-Theorem 5), not the logical statements — re-running queries would be
+Replay applies the records' *physical* deltas (an ``A``-only commit's
+added extent members and new object records, bounded by its static
+effect per Theorem 5; the whole state for a ``U`` commit, rollback or
+restore), not the logical statements — re-running queries would be
 slower and needlessly re-entangles recovery with evaluation.  A record
 that passes its checksum but fails semantic validation (unknown extent,
 wrong attribute set, non-monotone LSN) raises
@@ -233,18 +234,21 @@ def apply_record(db: "Database", rec: dict) -> None:
 
     Semantic validation failures raise :class:`WalError` — the record's
     checksum held, so either the log was tampered with beyond what a
-    CRC catches or the writer was buggy; both must fail loudly.
+    CRC catches or the writer was buggy; both must fail loudly.  So
+    does a kind this reader does not know (e.g. the whole-membership
+    ``delta`` of older logs): misreading it could silently drop or
+    duplicate state.
     """
     kind = rec.get("kind")
     try:
         if kind == "define":
             db.define(rec["source"])
-        elif kind == "delta":
-            _apply_state(db, rec, full=False)
+        elif kind == "shard":
+            db.shard(rec["class"], k=int(rec["k"]), by=rec.get("by"))
         elif kind == "shard-delta":
             _apply_shard_delta(db, rec)
         elif kind == "full":
-            _apply_state(db, rec, full=True)
+            _apply_state(db, rec)
             _restore_definitions(db, rec.get("definitions", []))
         else:
             raise WalError(f"record lsn {rec.get('lsn')}: unknown kind {kind!r}")
@@ -257,10 +261,11 @@ def apply_record(db: "Database", rec: dict) -> None:
     db.supply.advance_to(int(rec.get("next_oid", 0)))
 
 
-def _apply_state(db: "Database", rec: dict, *, full: bool) -> None:
-    schema = db.schema
-    oe = ObjectEnv() if full else db.oe
-    for oid, entry in sorted(rec.get("objects", {}).items()):
+def _with_logged_objects(schema, oe: ObjectEnv, objects: dict) -> ObjectEnv:
+    """``oe`` plus a record's logged objects, each checked against the
+    schema (known class, exactly the declared attribute set)."""
+    decoded: dict[str, ObjectRecord] = {}
+    for oid, entry in sorted(objects.items()):
         cname = entry["class"]
         if cname not in schema:
             raise WalError(f"object {oid}: unknown class {cname!r}")
@@ -273,32 +278,49 @@ def _apply_state(db: "Database", rec: dict, *, full: bool) -> None:
             )
         try:
             attrs = tuple((a, value_from_json(given[a])) for a in declared)
-            oe = oe.with_object(oid, ObjectRecord(cname, attrs))
+            decoded[oid] = ObjectRecord(cname, attrs)
         except (PersistenceError, EvalError) as exc:
             raise WalError(f"object {oid}: {exc}") from exc
-    ee = ExtentEnv.for_schema(schema) if full else db.ee
+    return oe.with_objects(decoded)
+
+
+def _checked_members(
+    schema, ee: ExtentEnv, oe: ObjectEnv, extent: str, members
+) -> frozenset[str]:
+    """A record's members of ``extent``: a known extent, and live
+    objects of exactly its class."""
+    if extent not in ee:
+        raise WalError(f"unknown extent {extent!r} in record")
+    want = schema.extent_class(extent)
+    for oid in members:
+        if oid not in oe:
+            raise WalError(
+                f"extent {extent!r} references missing object {oid}"
+            )
+        if oe.class_of(oid) != want:
+            raise WalError(
+                f"extent {extent!r} holds {oid} of class "
+                f"{oe.class_of(oid)!r}, expected {want!r}"
+            )
+    return frozenset(members)
+
+
+def _apply_state(db: "Database", rec: dict) -> None:
+    """Replay a ``full`` record: the whole EE/OE, replaced."""
+    schema = db.schema
+    oe = _with_logged_objects(schema, ObjectEnv(), rec.get("objects", {}))
+    ee = ExtentEnv.for_schema(schema)
     for extent, members in sorted(rec.get("extents", {}).items()):
-        if extent not in ee:
-            raise WalError(f"unknown extent {extent!r} in record")
-        want = schema.extent_class(extent)
-        for oid in members:
-            if oid not in oe:
-                raise WalError(
-                    f"extent {extent!r} references missing object {oid}"
-                )
-            if oe.class_of(oid) != want:
-                raise WalError(
-                    f"extent {extent!r} holds {oid} of class "
-                    f"{oe.class_of(oid)!r}, expected {want!r}"
-                )
-        ee = ee.with_members(extent, frozenset(members))
+        ee = ee.with_members(
+            extent, _checked_members(schema, ee, oe, extent, members)
+        )
     # OE before EE: same installation order as Database commit
     db.oe = oe
     db.ee = ee
 
 
 def _apply_shard_delta(db: "Database", rec: dict) -> None:
-    """Replay one per-shard install: an additive extent-membership union.
+    """Replay one ``A``-only commit: an additive extent-membership union.
 
     ``shard-delta`` records carry only the commit's *added* members per
     extent (plus the new objects), never whole extents — so replay is a
@@ -310,42 +332,12 @@ def _apply_shard_delta(db: "Database", rec: dict) -> None:
     declaration still reaches the identical extent state.
     """
     schema = db.schema
-    oe = db.oe
-    for oid, entry in sorted(rec.get("objects", {}).items()):
-        cname = entry["class"]
-        if cname not in schema:
-            raise WalError(f"object {oid}: unknown class {cname!r}")
-        declared = [a for a, _ in schema.atypes(cname)]
-        given = entry.get("attrs", {})
-        if sorted(given) != sorted(declared):
-            raise WalError(
-                f"object {oid}: attribute set {sorted(given)} does not "
-                f"match class {cname} ({sorted(declared)})"
-            )
-        try:
-            attrs = tuple((a, value_from_json(given[a])) for a in declared)
-            oe = oe.with_object(oid, ObjectRecord(cname, attrs))
-        except (PersistenceError, EvalError) as exc:
-            raise WalError(f"object {oid}: {exc}") from exc
+    oe = _with_logged_objects(schema, db.oe, rec.get("objects", {}))
     ee = db.ee
     for extent, added in sorted(rec.get("adds", {}).items()):
-        if extent not in ee:
-            raise WalError(f"unknown extent {extent!r} in record")
-        want = schema.extent_class(extent)
-        for oid in added:
-            if oid not in oe:
-                raise WalError(
-                    f"extent {extent!r} references missing object {oid}"
-                )
-            if oe.class_of(oid) != want:
-                raise WalError(
-                    f"extent {extent!r} holds {oid} of class "
-                    f"{oe.class_of(oid)!r}, expected {want!r}"
-                )
+        added = _checked_members(schema, ee, oe, extent, added)
         if added:
-            ee = ee.with_members(
-                extent, ee.members(extent) | frozenset(added)
-            )
+            ee = ee.with_members(extent, ee.members(extent) | added)
     # OE before EE: same installation order as Database commit
     db.oe = oe
     db.ee = ee

@@ -7,9 +7,10 @@ partition is pure bookkeeping: membership, answers and the effect
 system are untouched (a sharded run must be ``≡`` the unsharded run),
 but three things get finer-grained:
 
-* **commits** — an ``A``-only commit *merges* its per-shard deltas into
-  the current environments instead of replacing EE/OE wholesale, under
-  per-shard install versions (``shard.install`` fault site);
+* **commits** — an ``A``-only commit, which merges its delta into the
+  current environments on any database, also stages per-shard
+  partitions under per-shard install versions (``shard.install``
+  fault site);
 * **execution** — the compiled engine prunes equality-constrained scans
   to one shard and fans full scans out per-shard on a worker pool
   (:mod:`repro.exec.parallel`);

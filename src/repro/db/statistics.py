@@ -435,9 +435,9 @@ class StatisticsCatalog:
         """Theorem 5 maintenance after a committed write.
 
         ``adds`` maps extent name → newly added oids when the commit
-        path knows them (insert, the sharded installer, the plain
-        commit diff); with ``oe`` present, touched columns are folded
-        forward instead of evicted.
+        path knows them (every ``A``-only commit does); with ``oe``
+        present, touched columns are folded forward instead of
+        evicted.
         """
         with self._lock:
             if effect.updates():

@@ -11,12 +11,12 @@ and truncates the torn tail.
 The §4 effect system is what makes the log *cheap*.  By Theorem 5 the
 dynamic trace of a committed statement is a subeffect of its static
 effect ε, so the physical delta of an ``A(C)``-only commit is bounded
-by the extents the ``A`` atoms name: the record carries just those
-extents' new memberships plus the records of the objects that joined
-them.  A commit whose effect contains a ``U`` atom forces a **full**
-delta instead — attribute reads carry no effect atom (the §5
-reference-chasing caveat, the same coarsening :mod:`repro.sched`
-applies), so no smaller bound exists.  Unattributed state changes
+by the extents the ``A`` atoms name: its ``shard-delta`` record
+carries just the oids that joined those extents plus their object
+records — a size independent of the extents'.  A commit whose effect
+contains a ``U`` atom forces a **full** delta instead — attribute
+reads carry no effect atom (the §5 reference-chasing caveat, the same
+coarsening :mod:`repro.sched` applies), so no smaller bound exists.  Unattributed state changes
 (transaction rollback, :meth:`Database.restore`) likewise log full
 records.
 
@@ -293,6 +293,10 @@ class TailResult:
     ``offset`` — for a live log that is usually an append still in
     flight, which the next poll will see completed; a *persistent*
     error while the file keeps growing is mid-file corruption.
+    ``first_lsn`` is the LSN of the log's first frame, reported only
+    when the poll found nothing past a non-header offset: a log reset
+    and regrown to exactly that offset looks idle by size alone, but
+    its first frame then lies past everything the caller shipped.
     """
 
     records: tuple[dict, ...]
@@ -300,6 +304,7 @@ class TailResult:
     size: int
     reset: bool = False
     error: WalError | None = None
+    first_lsn: int | None = None
 
 
 def tail(path: str, offset: int) -> TailResult:
@@ -333,7 +338,17 @@ def tail(path: str, offset: int) -> TailResult:
             break
         records.append(record)
         offset = end
-    return TailResult(tuple(records), offset, size, error=error)
+    first_lsn = None
+    if not records and error is None and offset > len(MAGIC):
+        try:
+            first_lsn = _read_one(raw, len(MAGIC))[0]["lsn"]
+        except WalError:
+            # shipped frames are never rewritten, only truncated away:
+            # a torn first frame means the log was reset under us
+            return TailResult((), offset, size, reset=True)
+    return TailResult(
+        tuple(records), offset, size, error=error, first_lsn=first_lsn
+    )
 
 
 def read_records(path: str) -> list[dict]:

@@ -13,9 +13,10 @@ The robustness surface is in telling three tail conditions apart:
   and the next poll usually sees the frame completed; ship the intact
   prefix and wait;
 * **log reset** (a checkpoint folded the log) — the file shrank below
-  the offset, or it regrew but is frame-aligned only from the header;
-  the shipped stream is gone, so raise :class:`ShipGap` and the
-  replica resyncs from the checkpoint;
+  the offset, or it regrew but is frame-aligned only from the header,
+  or it regrew to exactly the offset (its first frame's LSN is then
+  past the last shipped one); the shipped stream is gone, so raise
+  :class:`ShipGap` and the replica resyncs from the checkpoint;
 * **mid-log corruption** — the same frame stays torn while the file
   keeps growing (the writer moved past it): also a :class:`ShipGap`,
   because no later frame can be trusted to be the successor of the
@@ -73,6 +74,16 @@ class WalShipper:
         maybe_fault("replica.ship")
         self.polls_total += 1
         t = _wal.tail(self.path, self.offset)
+        if t.first_lsn is not None and t.first_lsn > self.last_lsn:
+            # idle by size, but the log now starts past everything
+            # shipped: it was reset and regrew to exactly our offset
+            self.gaps_total += 1
+            self._pending_error = None
+            raise ShipGap(
+                f"{self.path}: log restarts at lsn {t.first_lsn} past "
+                f"shipped lsn {self.last_lsn} (checkpoint fold) — resync "
+                "from the checkpoint"
+            )
         if t.reset:
             self.gaps_total += 1
             self._pending_error = None

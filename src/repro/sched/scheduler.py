@@ -20,9 +20,11 @@ static licence for that overlap:
 The conflict predicate is deliberately coarser than bare
 ``Effect.interferes_with``:
 
-* **writer–writer always conflicts** — a commit installs a whole new
-  EE/OE pair; there is no merge, so concurrent writers would lose
-  updates even when their effects are disjoint;
+* **writer–writer always conflicts** — not for safety (an ``A``-only
+  commit merges its delta into the current EE/OE, so overlapped
+  writers lose nothing) but so that writers draw oids in admission
+  order: the final EE/OE then equals the sequential run's exactly,
+  not just up to ∼;
 * **an update (``U``) conflicts with everything** — attribute reads
   carry no effect atom (the reference-chasing caveat of §5: a query
   whose ``R`` set avoids ``C`` can still observe ``C``-state through a
@@ -68,8 +70,9 @@ def conflicts(a: Effect, b: Effect) -> bool:
     The base case is Figure 3 interference — one side writes a class
     the other reads, or both update a class.  On top of that the
     scheduler adds the two coarsenings argued in the module docstring:
-    writers never overlap each other (commit is wholesale EE/OE
-    replacement), and an updater never overlaps anything (reference
+    writers never overlap each other (unsharded writers stay in
+    admission order so that oids match the sequential run exactly, not
+    just up to ∼), and an updater never overlaps anything (reference
     chasing escapes the R-set).
     """
     if a.interferes_with(b):

@@ -1,12 +1,19 @@
 """Unit tests for the Database façade (repro.db.database)."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.db.database import Database
+from repro.db.recovery import recover
 from repro.effects.algebra import Effect, add, read
 from repro.errors import IOQLEffectError, IOQLTypeError
 from repro.lang.ast import OidRef
 from repro.model.types import INT, STRING, SetType
 from repro.semantics.strategy import LAST
+
+from tests.conftest import EMPLOYEE_ODL
 
 
 class TestPopulation:
@@ -169,3 +176,103 @@ class TestExplore:
     def test_explore_deterministic_query(self, hr_db):
         ex = hr_db.explore("{ e.EmpID | e <- Employees }")
         assert ex.deterministic()
+
+
+class TestOverlappedCommits:
+    """Commits whose evaluations overlap never undo each other.
+
+    Two writers evaluate against the same base EE/OE (a barrier holds
+    both after evaluation), so whichever commits second does so against
+    a state the first already replaced.  The merge install must keep
+    both added objects — on an unsharded database too, and in the log
+    as well as in memory — and a read-only statement must install
+    nothing.
+    """
+
+    def _overlap_two_writers(self, db, monkeypatch):
+        from repro.semantics import bigstep
+
+        evaluate = bigstep.evaluate_bigstep
+        both_evaluated = threading.Barrier(2)
+
+        def evaluate_then_wait(*args, **kw):
+            out = evaluate(*args, **kw)
+            both_evaluated.wait(timeout=10)
+            return out
+
+        monkeypatch.setattr(bigstep, "evaluate_bigstep", evaluate_then_wait)
+        errors = []
+
+        def writer(i):
+            try:
+                db.run(
+                    f'new Person(name: "w{i}", age: {30 + i}, address: "x")',
+                    engine="bigstep",
+                )
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+
+    def test_both_commits_survive_in_memory(self, hr_db, monkeypatch):
+        self._overlap_two_writers(hr_db, monkeypatch)
+        names = hr_db.query("{ p.name | p <- Persons }").python()
+        assert names == {"w0", "w1"}
+
+    def test_both_commits_survive_recovery(self, tmp_path, monkeypatch):
+        d = str(tmp_path / "db")
+        db = Database.open(d, EMPLOYEE_ODL)
+        self._overlap_two_writers(db, monkeypatch)
+        assert len(db.extent("Persons")) == 2
+        expected = (db.ee, db.oe)
+        db.close()
+        got = recover(d, attach=False).db
+        assert (got.ee, got.oe) == expected
+
+    def test_overlapped_read_does_not_undo_a_write(self, hr_db, monkeypatch):
+        from repro.semantics import bigstep
+
+        evaluate = bigstep.evaluate_bigstep
+
+        def evaluate_then_write(*args, **kw):
+            out = evaluate(*args, **kw)
+            monkeypatch.setattr(bigstep, "evaluate_bigstep", evaluate)
+            # lands between the read's evaluation and its commit
+            hr_db.insert("Person", name="w", age=1, address="x")
+            return out
+
+        monkeypatch.setattr(bigstep, "evaluate_bigstep", evaluate_then_write)
+        assert hr_db.run("size(Persons)", engine="bigstep").python() == 0
+        assert len(hr_db.extent("Persons")) == 1
+
+    def test_many_threads_lose_no_write(self, empty_hr_db):
+        db = empty_hr_db
+        per_thread = 10
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(t):
+                for i in range(per_thread):
+                    if i % 2:
+                        db.insert("Person", name=f"t{t}i{i}", age=i, address="a")
+                    else:
+                        db.run(
+                            f'new Person(name: "t{t}r{i}", age: {i}, address: "r")',
+                            engine="bigstep",
+                        )
+
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(db.extent("Persons")) == 8 * per_thread

@@ -1,7 +1,7 @@
 """Crash recovery: the prefix-consistency contract, certified by sweep.
 
 The headline experiment (`TestCrashPointSweep`) builds a durable
-database with 50+ journalled commits — delta records, define records
+database with 50+ journalled commits — shard-delta records, define records
 and ``U``-effect full records — remembering the exact (EE, OE, defs)
 after every one.  It then simulates a crash at **every record boundary
 and intra-record byte offset** of the log (every single byte under
@@ -30,12 +30,15 @@ from repro.db import recovery, wal
 from repro.db.database import Database
 from repro.db.persistence import PersistenceError
 from repro.db.recovery import apply_record, recover
+from repro.db.shards import ShardSpec
+from repro.db.store import ExtentEnv, ObjectEnv, ObjectRecord
 from repro.db.wal import MAGIC, WalError
 from repro.errors import TransientFault
-from repro.lang.ast import IntLit, MethodCall, OidRef
+from repro.lang.ast import IntLit, MethodCall, OidRef, StrLit
 from repro.methods.ast import AccessMode
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import FaultPlan, FaultRule, inject
+from tests.conftest import EMPLOYEE_ODL
 
 FULL_SWEEP = os.environ.get("REPRO_SWEEP_FULL", "") not in ("", "0")
 
@@ -368,7 +371,7 @@ class TestUpdateCommits:
         (a,) = sorted(db.extent("Accounts"))
         db.run(MethodCall(OidRef(a), "deposit", (IntLit(25),)))
         records = wal.read_records(recovery.wal_path(d))
-        assert [r["kind"] for r in records] == ["delta", "full"]
+        assert [r["kind"] for r in records] == ["shard-delta", "full"]
         expected = _state(db)
         db.close()
         res = recover(d, attach=False)
@@ -396,6 +399,15 @@ class TestUpdateCommits:
 # ---------------------------------------------------------------------------
 
 
+def _both_kinds(objects, members):
+    """One payload as each replayable state record: a ``shard-delta``
+    (``members`` are added oids) and a ``full`` (whole extents)."""
+    return [
+        {"lsn": 1, "kind": "shard-delta", "objects": objects, "adds": members},
+        {"lsn": 1, "kind": "full", "objects": objects, "extents": members},
+    ]
+
+
 class TestApplyRecordValidation:
     def _db(self):
         return Database.from_odl(ODL)
@@ -404,45 +416,44 @@ class TestApplyRecordValidation:
         with pytest.raises(WalError, match="unknown kind"):
             apply_record(self._db(), {"lsn": 1, "kind": "mystery"})
 
-    def test_unknown_class_raises(self):
-        rec = {
-            "lsn": 1,
-            "kind": "delta",
-            "objects": {"@Alien_0": {"class": "Alien", "attrs": {}}},
-            "extents": {},
-        }
-        with pytest.raises(WalError, match="unknown class"):
-            apply_record(self._db(), rec)
-
-    def test_wrong_attribute_set_raises(self):
-        rec = {
-            "lsn": 1,
-            "kind": "delta",
-            "objects": {
-                "@Person_0": {
-                    "class": "Person",
-                    "attrs": {"name": {"t": "str", "v": "x"}},
-                }
-            },
-            "extents": {},
-        }
-        with pytest.raises(WalError, match="attribute set"):
-            apply_record(self._db(), rec)
-
-    def test_extent_with_missing_object_raises(self):
+    def test_legacy_whole_membership_delta_is_an_unknown_kind(self):
+        # the pre-merge-install record kind: replaying its whole-extent
+        # membership as additive would be silently wrong, so it is refused
         rec = {
             "lsn": 1,
             "kind": "delta",
             "objects": {},
-            "extents": {"Persons": ["@Person_9"]},
+            "extents": {"Persons": []},
         }
-        with pytest.raises(WalError, match="missing object"):
+        with pytest.raises(WalError, match="unknown kind 'delta'"):
             apply_record(self._db(), rec)
 
+    def test_unknown_class_raises(self):
+        objects = {"@Alien_0": {"class": "Alien", "attrs": {}}}
+        for rec in _both_kinds(objects, {}):
+            with pytest.raises(WalError, match="unknown class"):
+                apply_record(self._db(), rec)
+
+    def test_wrong_attribute_set_raises(self):
+        objects = {
+            "@Person_0": {
+                "class": "Person",
+                "attrs": {"name": {"t": "str", "v": "x"}},
+            }
+        }
+        for rec in _both_kinds(objects, {}):
+            with pytest.raises(WalError, match="attribute set"):
+                apply_record(self._db(), rec)
+
+    def test_extent_with_missing_object_raises(self):
+        for rec in _both_kinds({}, {"Persons": ["@Person_9"]}):
+            with pytest.raises(WalError, match="missing object"):
+                apply_record(self._db(), rec)
+
     def test_unknown_extent_raises(self):
-        rec = {"lsn": 1, "kind": "delta", "objects": {}, "extents": {"Ufos": []}}
-        with pytest.raises(WalError, match="unknown extent"):
-            apply_record(self._db(), rec)
+        for rec in _both_kinds({}, {"Ufos": []}):
+            with pytest.raises(WalError, match="unknown extent"):
+                apply_record(self._db(), rec)
 
     def test_non_monotone_lsns_raise(self, tmp_path):
         d = str(tmp_path / "db")
@@ -455,3 +466,112 @@ class TestApplyRecordValidation:
             fh.write(raw + raw[len(MAGIC):])
         with pytest.raises(WalError, match="non-monotone"):
             recover(d, attach=False)
+
+
+# ---------------------------------------------------------------------------
+# A-only commits log O(delta) bytes; shard layouts are journalled
+# ---------------------------------------------------------------------------
+
+
+def _hr_store(directory, employees):
+    """A durable HR store holding one manager and ``employees``
+    employees, bulk-built in memory and then checkpointed."""
+    db = Database.from_odl(EMPLOYEE_ODL)
+    boss = "@Manager_0"
+    recs = {
+        boss: ObjectRecord(
+            "Manager",
+            (
+                ("name", StrLit("Grace")),
+                ("age", IntLit(50)),
+                ("address", StrLit("NYC")),
+                ("level", IntLit(3)),
+            ),
+        )
+    }
+    staff = [f"@Employee_{i + 1}" for i in range(employees)]
+    for i, oid in enumerate(staff):
+        recs[oid] = ObjectRecord(
+            "Employee",
+            (
+                ("name", StrLit(f"emp{i}")),
+                ("age", IntLit(20 + i % 40)),
+                ("address", StrLit("London")),
+                ("EmpID", IntLit(i)),
+                ("GrossSalary", IntLit(3000 + i % 4000)),
+                ("UniqueManager", OidRef(boss)),
+            ),
+        )
+    db.oe = ObjectEnv(recs)
+    db.ee = ExtentEnv(
+        {
+            "Persons": ("Person", frozenset()),
+            "Managers": ("Manager", frozenset([boss])),
+            "Employees": ("Employee", frozenset(staff)),
+        }
+    )
+    db.supply.advance_to(employees + 1)
+    db.attach_wal(directory, sync=False)
+    return db
+
+
+class TestWalBytesPerWrite:
+    """An ``A``-only commit logs what it added, not the extents it
+    joined: one object's record costs the same at any extent size, up
+    to the width of its oid's digits."""
+
+    def _bytes_per_write(self, tmp_path, employees):
+        db = _hr_store(str(tmp_path / f"hr{employees}"), employees)
+        path = recovery.wal_path(db.wal_dir)
+        sizes = [os.path.getsize(path)]
+        db.insert(
+            "Employee", name="new", age=30, address="Paris",
+            EmpID=employees, GrossSalary=4000,
+            UniqueManager=OidRef("@Manager_0"),
+        )
+        sizes.append(os.path.getsize(path))
+        db.run('new Person(name: "p", age: 1, address: "x")')
+        sizes.append(os.path.getsize(path))
+        db.close()
+        return sizes[1] - sizes[0], sizes[2] - sizes[1]
+
+    def test_bytes_do_not_grow_with_extent_size(self, tmp_path):
+        small = self._bytes_per_write(tmp_path, 500)
+        large = self._bytes_per_write(tmp_path, 8000)
+        for s, l in zip(small, large):
+            assert abs(l - s) <= 64, (small, large)
+            assert l < 1024, (small, large)
+
+
+class TestShardLayoutDurability:
+    def test_shard_record_advances_the_star_mark(self, tmp_path):
+        db = Database.open(str(tmp_path / "db"), ODL)
+        db.insert("Person", name="a", age=1)
+        db.shard("Person", k=4, by="age")
+        (rec,) = wal.read_records(recovery.wal_path(db.wal_dir))[-1:]
+        assert {k: rec[k] for k in ("kind", "class", "k", "by")} == {
+            "kind": "shard", "class": "Person", "k": 4, "by": "age",
+        }
+        assert db.write_marks()["*"] == rec["lsn"]
+        db.close()
+
+    def test_wal_only_recovery_keeps_the_layout(self, tmp_path):
+        d = str(tmp_path / "db")
+        db = Database.open(d, ODL)
+        db.shard("Person", k=4, by="age")
+        db.shard("Team", k=2)
+        for i in range(6):
+            db.insert("Person", name=f"p{i}", age=i)
+        expected = _state(db)
+        db.close()  # no checkpoint since shard(): the log alone has it
+        got = recover(d, attach=False).db
+        _assert_state(got, expected, "sharded WAL-only recovery")
+        assert got._shards.spec("Persons") == ShardSpec(
+            "Person", "Persons", 4, "age"
+        )
+        assert got._shards.spec("Teams") == ShardSpec("Team", "Teams", 2)
+
+    def test_invalid_shard_record_raises(self):
+        rec = {"lsn": 1, "kind": "shard", "class": "Person", "k": 2, "by": "zip"}
+        with pytest.raises(WalError, match="does not apply"):
+            apply_record(Database.from_odl(ODL), rec)

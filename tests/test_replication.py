@@ -28,6 +28,7 @@ import pytest
 
 from repro.db import recovery, wal
 from repro.db.database import Database
+from repro.db.shards import ShardSpec
 from repro.errors import ReproError
 from repro.lang.ast import IntLit, MethodCall, OidRef
 from repro.methods.ast import AccessMode
@@ -96,7 +97,7 @@ class TestShipper:
         assert shipper.poll() == ()
         db.insert("Person", name="a", age=1)
         (r1,) = shipper.poll()
-        assert r1["lsn"] == 1 and r1["kind"] == "delta"
+        assert r1["lsn"] == 1 and r1["kind"] == "shard-delta"
         db.insert("Person", name="b", age=2)
         db.insert("Team", tag="t")
         r2, r3 = shipper.poll()
@@ -113,6 +114,18 @@ class TestShipper:
         db.checkpoint()  # truncates the log under the shipper
         db.insert("Person", name="c", age=3)
         with pytest.raises(ShipGap, match="resync"):
+            shipper.poll()
+        assert shipper.snapshot()["gaps"] == 1
+
+    def test_fold_regrown_to_the_ship_offset_is_a_gap(self, tmp_path):
+        db = _open(tmp_path)
+        shipper = WalShipper(recovery.wal_path(db.wal_dir))
+        db.insert("Person", name="a", age=1)
+        shipper.poll()
+        db.checkpoint()
+        db.insert("Person", name="b", age=2)  # a record of the same size
+        assert os.path.getsize(shipper.path) == shipper.offset
+        with pytest.raises(ShipGap, match="restarts at lsn 2"):
             shipper.poll()
         assert shipper.snapshot()["gaps"] == 1
 
@@ -193,7 +206,7 @@ class TestReplicaApply:
         r = Replica("r1", db, retry=_fast_retry())
         db.insert("Person", name="a", age=1)
         with pytest.raises(ShipGap, match="stream lost"):
-            r._apply({"lsn": 3, "kind": "delta"})
+            r._apply({"lsn": 3, "kind": "shard-delta"})
 
     def test_replica_survives_primary_checkpoint(self, tmp_path):
         db = _open(tmp_path)
@@ -527,6 +540,22 @@ class TestFailover:
         assert bad.state == QUARANTINED
         newdb = promote(rset.get("replica-1"))
         assert newdb.replicas is None  # the only survivor was quarantined
+
+    def test_promoted_replica_keeps_the_shard_layout(self, tmp_path):
+        db = _open(tmp_path)
+        rset = db.replicate(1, auto_poll=False)
+        r = rset.get("replica-1")
+        db.shard("Person", k=4, by="age")
+        db.insert("Person", name="a", age=1)
+        assert r.poll() == 2
+        assert r.star == 1  # the layout change stars, like a definition
+        spec = ShardSpec("Person", "Persons", 4, "age")
+        assert r.db._shards.spec("Persons") == spec
+        newdb = promote(r)
+        assert newdb._shards.spec("Persons") == spec
+        # ... and the promoted primary's own checkpoint carries it
+        back = recovery.recover(newdb.wal_dir, attach=False).db
+        assert back._shards.spec("Persons") == spec
 
     def test_cannot_promote_quarantined_replica(self, tmp_path):
         db = _open(tmp_path)
