@@ -125,19 +125,27 @@ def bench_cached_repeat(db, n: int = 200) -> dict:
 
 def bench_profile_overhead(db, src: str) -> dict:
     """Profiled vs plain execution on prebuilt plans (no compile cost)."""
-    from repro.exec.engine import compile_profiled, execute_profiled
+    from repro.exec.cache import PlanEntry
+    from repro.exec.engine import build_plan
+    from repro.obs.profile import ProfileRun
 
     q = db.parse(src)
     entry = db.plan_decision(q).entry
-    plan, _, _ = compile_profiled(db, q)
+    plan, _ = build_plan(db, q, profile=True)
+    profiled = PlanEntry(plan, entry.reads, entry.static_effect)
+
+    def run_profiled():
+        run = ProfileRun(len(plan.ops))
+        value, _, _ = execute_plan(db, profiled, prof=run)
+        return value, run
 
     plain_value, _, _ = execute_plan(db, entry)
-    prof_value, _, run, _ = execute_profiled(db, plan)
+    prof_value, run = run_profiled()
     assert prof_value == plain_value, f"profiled value mismatch on {src!r}"
     assert all(n >= 0 for n in run.rows)
 
     plain_s = _best_of(lambda: execute_plan(db, entry))
-    profiled_s = _best_of(lambda: execute_profiled(db, plan))
+    profiled_s = _best_of(run_profiled)
     return {
         "query": " ".join(src.split()),
         "plain_s": plain_s,

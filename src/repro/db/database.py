@@ -1223,10 +1223,12 @@ class Database:
     def explain_cost(self, source: str | Query):
         """A TD2-style distributed cost report for one query.
 
-        Estimates, per extent access, how many shards the compiled
-        plan would touch, the rows scanned after shard pruning, the
-        predicate selectivities applied, and the rows/bytes moved at
-        each merge point — without executing the query.  Returns a
+        A view of the plan :meth:`run` executes (the cached plan's
+        operator description): per extent access, how many shards it
+        touches, the rows scanned after shard pruning, the filter
+        selectivities applied, and the rows/bytes moved at each merge
+        point — without executing the query.  A query on the reduction
+        engine lists no accesses.  Returns a
         :class:`~repro.exec.cost_report.CostReport` whose ``render()``
         pretty-prints and whose ``to_dict()`` is JSON-safe (the shell's
         ``.explain cost``).
@@ -1263,46 +1265,64 @@ class Database:
     ) -> "QueryProfile":
         """Run ``source`` with per-operator instrumentation; never commits.
 
-        Compiled-engine queries come back as a tree of operator nodes,
-        each carrying the optimizer's *estimated* cardinality next to
-        the *actual* row count and self/total time — the
-        estimated-vs-actual comparison ``.explain`` alone cannot give.
-        Queries the compiler refuses fall back to the reduction
-        machine and report a reduction-rule histogram instead of an
-        operator tree.  :meth:`~repro.obs.profile.QueryProfile.render`
-        pretty-prints; ``profile_dict()`` is the machine-readable form.
+        Compiled-engine queries execute the plan :meth:`run` caches,
+        rebuilt with per-operator wrappers (Theorem 4: a read-only
+        plan may run at any time without changing observables), and
+        come back as the cached plan's operator description with
+        *actual* row counts and self/total time overlaid on its
+        *estimated* cardinalities — the comparison ``.explain`` alone
+        cannot give.  Queries the compiler refuses fall back to the
+        reduction machine and report a reduction-rule histogram instead
+        of an operator tree.
+        :meth:`~repro.obs.profile.QueryProfile.render` pretty-prints;
+        ``profile_dict()`` is the machine-readable form.
         """
         from repro.obs import events as _events
-        from repro.obs.profile import QueryProfile, build_nodes
+        from repro.obs.profile import (
+            ProfileRun,
+            QueryProfile,
+            build_nodes,
+            same_operators,
+        )
 
         q = self.parse(source)
         self.typecheck(q)
         src_text = source if isinstance(source, str) else pretty(q)
         decision = self.plan_decision(q)
         if decision.engine == "compiled":
-            from repro.exec.engine import compile_profiled, execute_profiled
+            from repro.exec.cache import PlanEntry
+            from repro.exec.engine import build_plan, execute_plan
 
-            plan, normalised, model = compile_profiled(self, q)
-            value, ctx, run, elapsed = execute_profiled(
-                self, plan, budget=budget
+            profiled, _ = build_plan(self, q, profile=True)
+            entry = PlanEntry(
+                profiled, decision.entry.reads, decision.static_effect
             )
+            run = ProfileRun(len(profiled.ops))
+            value, effect, steps = execute_plan(
+                self, entry, budget=budget, prof=run
+            )
+            plan, origin = decision.plan, "cached"
+            if not same_operators(profiled.ops, plan.ops):
+                # a replan, or catalog drift short of a stats-epoch bump,
+                # shaped the cached plan differently: describe what ran
+                plan, origin = profiled, "rebuilt (cached plan differs)"
             items = getattr(value, "items", None)
             rows = len(items) if items is not None else 1
-            nodes = build_nodes(plan.ops, run, result_rows=rows)
             return QueryProfile(
                 query=src_text,
                 engine="compiled",
-                elapsed_s=elapsed,
-                fuel=ctx.ops,
-                effect=str(ctx.effect()),
-                est_cost=model.eval_cost(normalised),
-                actual_steps=ctx.ops,
-                nodes=nodes,
+                elapsed_s=run.times[0],
+                fuel=steps,
+                effect=str(effect),
+                est_cost=plan.ops[0].extra["est_cost"],
+                actual_steps=steps,
+                nodes=build_nodes(plan.ops, run, result_rows=rows),
                 summary={
                     "rows": rows,
                     "scans": run.scans,
                     "index_lookups": run.index_lookups,
                     "plan_notes": list(plan.notes),
+                    "plan": origin,
                     "decision": decision.reason,
                 },
                 value=value,

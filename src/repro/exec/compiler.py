@@ -38,8 +38,10 @@ raise :class:`NotCompilable`; the caller falls back to the machine.
 from __future__ import annotations
 
 import operator
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Callable
 
@@ -129,20 +131,54 @@ class NotCompilable(Exception):
     fragment; the caller must fall back to the machine."""
 
 
+class PlanDescription:
+    """A plan's operator table, with labels and estimates filled on
+    first read.
+
+    The structure — kinds, nesting, the shard access each scan and hash
+    join was compiled with — is fixed at compile time; labels and
+    cost-model estimates are computed once, when the table is first
+    read, so a plan that is never explained pays for neither (nor for
+    the column statistics the estimates may need).
+    """
+
+    #: fills are short and run once per plan: one lock serves them all
+    _lock = threading.Lock()
+
+    def __init__(self, ops: list[OpDescr], fills: list[Callable]):
+        self._ops = tuple(ops)
+        self._fills = fills
+
+    def ops(self) -> tuple:
+        with self._lock:
+            fills, self._fills = self._fills, []
+            for fill in fills:
+                fill()
+        return self._ops
+
+
 @dataclass(frozen=True)
 class CompiledPlan:
     """A ready-to-run plan: the root closure plus its description.
 
-    ``ops`` is non-empty only for plans compiled with ``profile=True``:
-    one :class:`~repro.obs.profile.OpDescr` per pipeline operator, in
-    pipeline order, each carrying the cost model's estimated output
-    cardinality — the static half of ``.explain analyze``.
+    ``ops`` is always present: one :class:`~repro.obs.profile.OpDescr`
+    per pipeline operator, in pipeline order, rooted at a ``result``
+    operator (id 0, whose ``extra["est_cost"]`` is the cost model's
+    step estimate).  Each carries the estimated output cardinality;
+    scans and hash joins over an extent also record the shard access
+    the compiler chose, filters their selectivity.  ``.explain``,
+    ``.explain analyze`` and ``.explain cost`` all render this one
+    description.
     """
 
     fn: Callable
     source: Query = field(repr=False)
+    description: PlanDescription = field(repr=False)
     notes: tuple[str, ...] = ()
-    ops: tuple = ()
+
+    @property
+    def ops(self) -> tuple:
+        return self.description.ops()
 
 
 def is_pure(q: Query) -> bool:
@@ -211,23 +247,19 @@ def compile_plan(
 ) -> CompiledPlan:
     """Compile one (typechecked, optimizer-normalised) query.
 
-    With ``profile=True`` every pipeline operator is wrapped with a
-    call/row counter and a clock, feeding a
-    :class:`~repro.exec.runtime.ExecContext`'s ``prof`` run (when one is
-    attached — a profiled plan run without one pays only a ``None``
-    check per operator call).  ``cost_model`` supplies the estimated
-    cardinalities recorded on each operator and drives join selection
-    and the replan guards; for profiled compiles it defaults to an
-    empty :class:`~repro.optimizer.cost.CostModel` (all extents
-    unknown).  A model may also be passed *without* profiling — the
-    engine's normal compile path does, so plans carry stats-driven
-    estimates for adaptive replanning at zero per-row cost.
+    The plan always carries its operator description (``ops``, see
+    :class:`PlanDescription`), with estimates from ``cost_model`` —
+    which also drives join selection and the replan guards; without one
+    an empty :class:`~repro.optimizer.cost.CostModel` (all extents
+    unknown) is used.  ``profile=True`` only adds the wrappers: every
+    pipeline operator counts its calls and accumulates a clock into an
+    :class:`~repro.exec.runtime.ExecContext`'s ``prof`` run, and the
+    per-shard worker fan-out stays off (the counters are not
+    thread-safe), so sharded scans run sequentially.
     """
-    model = cost_model
-    if profile and model is None:
-        from repro.optimizer.cost import CostModel
+    from repro.optimizer.cost import CostModel
 
-        model = CostModel()
+    model = cost_model if cost_model is not None else CostModel()
     c = _Compiler(
         schema,
         defs,
@@ -236,21 +268,15 @@ def compile_plan(
         profile=profile,
         shards=shards,
     )
-    if profile:
-        est = (
-            model.cardinality(q)
-            if isinstance(q, _COLLECTION_SYNTAX)
-            else 1.0
-        )
-        root = c._new_op(
-            "result", "result", parent=None, est_rows=est, est_calls=1.0
-        )
-        with c._under(root):
-            fn = c.compile(q)
-    else:
+    root = c._new_op("result", parent=None)
+    c.fills.append(partial(_describe_root, model, c.ops[root], q))
+    with c._under(root):
         fn = c.compile(q)
     return CompiledPlan(
-        fn=fn, source=q, notes=tuple(c.notes), ops=tuple(c.ops)
+        fn=fn,
+        source=q,
+        description=PlanDescription(c.ops, c.fills),
+        notes=tuple(c.notes),
     )
 
 
@@ -276,65 +302,50 @@ class _Compiler:
         self.notes: list[str] = []
         self._def_bodies: dict[str, tuple[tuple[str, ...], Callable]] = {}
         self._next_sid = 0
-        # profiling state: a flat operator table plus the compile-time
-        # cursor (which operator encloses the expression being compiled,
-        # and its estimated call count — nested comprehensions scale
-        # their estimates by it)
+        # the plan description: a flat operator table, the deferred
+        # passes that label and estimate it (run in creation order, so
+        # an enclosing operator's call count is known before its nested
+        # comprehensions scale by it), and the compile-time cursor
+        # (which operator encloses the expression being compiled)
         self.model = model
-        self._profile = profile
+        self.profile = profile
         self.ops: list[OpDescr] = []
+        self.fills: list[Callable] = []
         self._cur_parent: int | None = None
-        self._mult = 1.0
 
     def _sid(self) -> int:
         self._next_sid += 1
         return self._next_sid - 1
 
-    # -- profiling scaffolding -------------------------------------------
-    @property
-    def profile(self) -> bool:
-        return self._profile
-
-    def _new_op(
-        self,
-        kind: str,
-        label: str,
-        *,
-        parent: int | None,
-        est_rows: float,
-        est_calls: float,
-    ) -> int:
+    # -- plan description and profiling wrappers -------------------------
+    def _new_op(self, kind: str, *, parent: int | None) -> int:
         op_id = len(self.ops)
         self.ops.append(
             OpDescr(
                 op_id=op_id,
                 parent=parent,
                 kind=kind,
-                label=label,
-                est_rows=est_rows,
+                label=kind,
+                est_rows=0.0,
                 rows_from=op_id,
-                extra={"est_calls": est_calls},
             )
         )
         return op_id
 
     @contextmanager
-    def _under(self, op_id: int | None):
+    def _under(self, op_id: int):
         """Compile sub-expressions as children of operator ``op_id``."""
-        if op_id is None:
-            yield
-            return
-        prev = (self._cur_parent, self._mult)
+        prev = self._cur_parent
         self._cur_parent = op_id
-        self._mult = self.ops[op_id].extra.get("est_calls", 1.0)
         try:
             yield
         finally:
-            self._cur_parent, self._mult = prev
+            self._cur_parent = prev
 
-    def _wrap_stage(self, op_id: int | None, stage: Callable) -> Callable:
-        """Count calls and accumulate inclusive time for one operator."""
-        if op_id is None:
+    def _wrap_stage(self, op_id: int, stage: Callable) -> Callable:
+        """Count calls and accumulate inclusive time for one operator
+        (profiled plans only)."""
+        if not self.profile:
             return stage
 
         def profiled_stage(ctx, env, acc, state):
@@ -351,8 +362,8 @@ class _Compiler:
 
         return profiled_stage
 
-    def _wrap_fn(self, op_id: int | None, fn: Callable) -> Callable:
-        if op_id is None:
+    def _wrap_fn(self, op_id: int, fn: Callable) -> Callable:
+        if not self.profile:
             return fn
 
         def profiled_fn(ctx, env):
@@ -754,23 +765,39 @@ class _Compiler:
         }
 
         # pick hash joins where a pure equality in a generator's slot
-        # links it to earlier-bound variables.  Join selection is
-        # slot-local, so it runs as a forward pre-pass (consuming the
-        # equalities from slot_preds) — profiling needs the per-
-        # generator operator kinds before the reversed build loop.
+        # links it to earlier-bound variables, and shard probes for the
+        # remaining generators over sharded extents.  Both are
+        # slot-local, so they run as a forward pre-pass (consuming join
+        # equalities from slot_preds) — the plan description needs the
+        # per-generator choices before the reversed build loop.
         joins: list = [None] * n_gens
+        specs: list = [None] * n_gens
+        probes: list = [None] * n_gens
         for i in range(1, n_gens + 1):
             gen = gens[i - 1]
             if not dup_vars and gen_uncorrelated[i - 1]:
                 joins[i - 1] = self._pick_join(
                     gen, i, slot_preds[i], gens, var_extents
                 )
+            if self.shards is not None and isinstance(gen.source, ExtentRef):
+                specs[i - 1] = spec = self.shards.spec(gen.source.name)
+                if (
+                    spec is not None
+                    and spec.by is not None
+                    and joins[i - 1] is None
+                    and not dup_vars
+                ):
+                    probes[i - 1] = self._pick_shard_probe(
+                        gen.var,
+                        slot_preds[i],
+                        {g.var for g in gens[: i - 1]},
+                        {g.var for g in gens},
+                        spec.by,
+                    )
 
-        comp_op = pred_ops = gen_ops = emit_op = None
-        if self.profile:
-            comp_op, pred_ops, gen_ops, emit_op = self._comp_ops(
-                q, gens, slot_preds, joins
-            )
+        comp_op, pred_ops, gen_ops, emit_op = self._comp_ops(
+            q, gens, slot_preds, joins, specs, probes
+        )
 
         # a single-generator comprehension whose predicates and head are
         # all pure may fan its scan out per shard: the downstream chain
@@ -794,40 +821,15 @@ class _Compiler:
         stage = self._wrap_stage(emit_op, emit_stage)
         for i in range(n_gens, 0, -1):
             gen = gens[i - 1]
-            preds = slot_preds[i]
-            gop = gen_ops[i - 1] if gen_ops is not None else None
-            for k in range(len(preds) - 1, -1, -1):
-                pop = pred_ops[i][k] if pred_ops is not None else None
-                with self._under(pop):
-                    cond_fn = self.compile(preds[k])
-                stage = self._wrap_stage(
-                    pop, self._pred_stage(cond_fn, stage)
-                )
-            with self._under(gop):
+            stage = self._filter_stages(slot_preds[i], pred_ops[i], stage)
+            with self._under(gen_ops[i - 1]):
                 if joins[i - 1] is not None:
                     stage = self._join_stage(gen, joins[i - 1], stage)
-                elif (
-                    not dup_vars
-                    and self.shards is not None
-                    and isinstance(gen.source, ExtentRef)
-                    and self.shards.spec(gen.source.name) is not None
-                ):
-                    spec = self.shards.spec(gen.source.name)
-                    probe_q = (
-                        self._pick_shard_probe(
-                            gen.var,
-                            slot_preds[i],
-                            {g.var for g in gens[: i - 1]},
-                            {g.var for g in gens},
-                            spec.by,
-                        )
-                        if spec.by is not None
-                        else None
-                    )
+                elif specs[i - 1] is not None and not dup_vars:
                     stage = self._sharded_gen_stage(
                         gen,
                         gen_uncorrelated[i - 1],
-                        probe_q,
+                        probes[i - 1],
                         par_ok,
                         stage,
                     )
@@ -840,15 +842,8 @@ class _Compiler:
                             gen, gen_uncorrelated[i - 1], var_extents
                         ),
                     )
-            stage = self._wrap_stage(gop, stage)
-        preds = slot_preds[0]
-        for k in range(len(preds) - 1, -1, -1):
-            pop = pred_ops[0][k] if pred_ops is not None else None
-            with self._under(pop):
-                cond_fn = self.compile(preds[k])
-            stage = self._wrap_stage(pop, self._pred_stage(cond_fn, stage))
-
-        first = stage
+            stage = self._wrap_stage(gen_ops[i - 1], stage)
+        first = self._filter_stages(slot_preds[0], pred_ops[0], stage)
         n_states = self._next_sid
 
         def comp_fn(ctx, env):
@@ -860,81 +855,69 @@ class _Compiler:
 
         return self._wrap_fn(comp_op, comp_fn)
 
-    def _comp_ops(self, q: Comp, gens, slot_preds, joins):
-        """Lay out profiling operators for one comprehension, in
-        pipeline order, with cost-model estimates flowing through.
+    def _filter_stages(self, preds, pred_ops, stage: Callable) -> Callable:
+        """Chain one slot's filters (in order) in front of ``stage``."""
+        for cond, pop in zip(reversed(preds), reversed(pred_ops)):
+            with self._under(pop):
+                cond_fn = self.compile(cond)
+            stage = self._wrap_stage(pop, self._pred_stage(cond_fn, stage))
+        return stage
+
+    def _comp_ops(self, q: Comp, gens, slot_preds, joins, specs, probes):
+        """Lay out one comprehension's operators, in pipeline order, and
+        queue the pass that labels and estimates them.
 
         Returns ``(comp_op, pred_ops, gen_ops, emit_op)`` where
         ``pred_ops`` mirrors the ``slot_preds`` structure.
         """
-        from repro.lang.pprint import pretty
-
-        model = self.model
-        mult = self._mult  # estimated executions of this comprehension
-        comp_op = self._new_op(
-            "comp",
-            pretty(q),
-            parent=self._cur_parent,
-            est_rows=mult * model.cardinality(q),
-            est_calls=mult,
-        )
+        comp_op = self._new_op("comp", parent=self._cur_parent)
         chain: list[int] = []
-        prev = comp_op
-        rows = 1.0  # estimated rows in flight, per comp execution
-        # the same env the reorder rule prices with, so the profiler's
-        # per-operator estimates and the optimizer's choice always agree
-        env: dict[str, str] = {}
 
-        def add(kind: str, label: str, est_rows: float, calls: float) -> int:
-            nonlocal prev
-            op = self._new_op(
-                kind, label, parent=prev, est_rows=est_rows, est_calls=calls
-            )
+        def add(kind: str) -> int:
+            op = self._new_op(kind, parent=chain[-1] if chain else comp_op)
             chain.append(op)
-            prev = op
             return op
 
-        pred_ops: list[list[int]] = [[] for _ in slot_preds]
+        pred_ops = [[add("filter") for _ in slot_preds[0]]]
         gen_ops: list[int] = []
-
-        def add_filters(slot: int) -> None:
-            nonlocal rows
-            for cond in slot_preds[slot]:
-                calls = mult * rows
-                rows *= model.predicate_selectivity(cond, env)
-                pred_ops[slot].append(
-                    add("filter", f"filter {pretty(cond)}", mult * rows, calls)
-                )
-
-        add_filters(0)
         for i, gen in enumerate(gens):
-            calls = mult * rows
-            card = model.cardinality(gen.source, env)
-            if isinstance(gen.source, ExtentRef):
-                env[gen.var] = gen.source.name
-            else:
-                env.pop(gen.var, None)
             if joins[i] is not None:
-                probe_q, build_q, is_objeq, cond = joins[i]
-                rows *= card * model.predicate_selectivity(cond, env)
-                label = (
-                    f"hash join {gen.var} <- {pretty(gen.source)} on "
-                    f"{pretty(build_q)} {'==' if is_objeq else '='} "
-                    f"{pretty(probe_q)}"
+                op = add("hash-join")
+                # an index probe keyed by the shard attribute reads the
+                # probed key's shard only
+                pruned = (
+                    specs[i] is not None
+                    and _indexed_attr(gen, joins[i][1]) == specs[i].by
                 )
-                gen_ops.append(add("hash-join", label, mult * rows, calls))
             else:
-                rows *= card
-                label = f"scan {gen.var} <- {pretty(gen.source)}"
-                gen_ops.append(add("scan", label, mult * rows, calls))
-            add_filters(i + 1)
-        emit_op = add(
-            "emit", f"emit {pretty(q.head)}", mult * rows, mult * rows
-        )
+                op = add("scan")
+                pruned = probes[i] is not None
+            if isinstance(gen.source, ExtentRef):
+                spec = specs[i]
+                k = spec.k if spec is not None else 1
+                self.ops[op].extra.update(
+                    var=gen.var,
+                    extent=gen.source.name,
+                    sharded=spec is not None,
+                    k=k,
+                    by=spec.by if spec is not None else None,
+                    shards=1 if pruned else k,
+                    pruned=pruned,
+                )
+            gen_ops.append(op)
+            pred_ops.append([add("filter") for _ in slot_preds[i + 1]])
+        emit_op = add("emit")
         for a, b in zip(chain, chain[1:]):
             self.ops[a].rows_from = b
-        self.ops[emit_op].rows_from = emit_op
         self.ops[comp_op].rows_from = emit_op
+        # the fill holds the model and the operator table, not the
+        # compiler: an unexplained cached plan keeps nothing else alive
+        self.fills.append(
+            partial(
+                _describe_comp, self.model, self.ops, q, gens, slot_preds,
+                joins, comp_op, pred_ops, gen_ops, emit_op,
+            )
+        )
         return comp_op, pred_ops, gen_ops, emit_op
 
     def _pick_join(
@@ -954,12 +937,11 @@ class _Compiler:
         freely on the probe side; the build side must depend on the new
         variable only, so one table serves every probe row.
 
-        With a cost model, candidates are *ranked*: an index-backed key
-        (bare extent keyed by one attribute — served by the persistent
+        Candidates are *ranked*: an index-backed key (bare extent keyed
+        by one attribute — served by the persistent
         :class:`~repro.db.store.AttributeIndexes`) beats an ad-hoc hash
         build, and among those the most selective equality (smallest
-        estimated bucket) wins.  Without a model the first eligible
-        equality is taken, as before.
+        estimated bucket) wins.
         """
         comp_vars = {g.var for g in gens}
         earlier = {g.var for g in gens[: slot - 1]}
@@ -979,17 +961,12 @@ class _Compiler:
                     break
         if not candidates:
             return None
-        if self.model is not None and len(candidates) > 1:
+        if len(candidates) > 1:
             env = dict(var_extents or {})
 
             def rank(cand):
                 idx, probe_q, build_q, cond = cand
-                indexed = (
-                    isinstance(gen.source, ExtentRef)
-                    and isinstance(build_q, Field)
-                    and isinstance(build_q.target, Var)
-                    and build_q.target.name == var
-                )
+                indexed = _indexed_attr(gen, build_q) is not None
                 sel = self.model.predicate_selectivity(cond, env)
                 return (0 if indexed else 1, sel, idx)
 
@@ -1028,11 +1005,7 @@ class _Compiler:
         misestimate — whereas a derived source's estimate rests on
         selectivity guesses, which is where skew bites.
         """
-        if (
-            self.model is None
-            or not uncorrelated
-            or isinstance(gen.source, ExtentRef)
-        ):
+        if not uncorrelated or isinstance(gen.source, ExtentRef):
             return None
         try:
             return max(1.0, self.model.cardinality(gen.source, var_extents))
@@ -1196,14 +1169,10 @@ class _Compiler:
         closed = not (free_vars(gen.source) | (free_vars(build_q) - {var}))
 
         # bare extent keyed by one attribute: use the persistent index
-        use_index = (
-            isinstance(gen.source, ExtentRef)
-            and isinstance(build_q, Field)
-            and isinstance(build_q.target, Var)
-            and build_q.target.name == var
-        )
+        attr = _indexed_attr(gen, build_q)
+        use_index = attr is not None
         if use_index:
-            extent, attr = gen.source.name, build_q.name
+            extent = gen.source.name
             self.notes.append(
                 f"hash join: {var} <- {extent} via index "
                 f"{extent}.{attr} {'==' if is_objeq else '='} {probe_q}"
@@ -1218,7 +1187,7 @@ class _Compiler:
                 )
             source_fn = build_fn = None
         else:
-            extent = attr = None
+            extent = None
             source_fn = self.compile(gen.source)
             build_fn = self.compile(build_q)
             self.notes.append(
@@ -1303,6 +1272,69 @@ class _Compiler:
         return stage
 
 
+def _describe_root(model, op: OpDescr, q: Query) -> None:
+    """Fill the ``result`` operator: rows out and the plan's step cost."""
+    op.est_rows = (
+        model.cardinality(q) if isinstance(q, _COLLECTION_SYNTAX) else 1.0
+    )
+    op.extra.update(est_calls=1.0, est_cost=model.eval_cost(q))
+
+
+def _describe_comp(
+    model, ops, q, gens, slot_preds, joins, comp_op, pred_ops, gen_ops, emit_op
+) -> None:
+    """Label one comprehension's operators and fill their estimates,
+    with cost-model row counts flowing down its pipeline."""
+    from repro.lang.pprint import pretty
+
+    # estimated executions of this comprehension: the call count of
+    # the operator it was compiled under
+    mult = ops[ops[comp_op].parent].extra["est_calls"]
+    rows = 1.0  # estimated rows in flight, per comp execution
+    # the same env the reorder rule prices with, so the plan's
+    # per-operator estimates and the optimizer's choice always agree
+    env: dict[str, str] = {}
+
+    def describe(op_id: int, label: str, est_rows: float, calls: float):
+        ops[op_id].label = label
+        ops[op_id].est_rows = est_rows
+        ops[op_id].extra["est_calls"] = calls
+
+    def filters(slot: int) -> None:
+        nonlocal rows
+        for cond, op_id in zip(slot_preds[slot], pred_ops[slot]):
+            calls = mult * rows
+            sel = model.predicate_selectivity(cond, env)
+            rows *= sel
+            describe(op_id, f"filter {pretty(cond)}", mult * rows, calls)
+            ops[op_id].extra["selectivity"] = sel
+
+    describe(comp_op, pretty(q), mult * model.cardinality(q), mult)
+    filters(0)
+    for i, gen in enumerate(gens):
+        calls = mult * rows
+        card = model.cardinality(gen.source, env)
+        if isinstance(gen.source, ExtentRef):
+            env[gen.var] = gen.source.name
+            ops[gen_ops[i]].extra["rows"] = card
+        else:
+            env.pop(gen.var, None)
+        if joins[i] is not None:
+            probe_q, build_q, is_objeq, cond = joins[i]
+            card *= model.predicate_selectivity(cond, env)
+            label = (
+                f"hash join {gen.var} <- {pretty(gen.source)} on "
+                f"{pretty(build_q)} {'==' if is_objeq else '='} "
+                f"{pretty(probe_q)}"
+            )
+        else:
+            label = f"scan {gen.var} <- {pretty(gen.source)}"
+        rows *= card
+        describe(gen_ops[i], label, mult * rows, calls)
+        filters(i + 1)
+    describe(emit_op, f"emit {pretty(q.head)}", mult * rows, mult * rows)
+
+
 def _parallel_scan(ctx, env, acc, state, var, extent, parts, nxt) -> None:
     """Fan one whole-extent generator out per shard on the worker pool.
 
@@ -1342,6 +1374,20 @@ def _parallel_scan(ctx, env, acc, state, var, extent, parts, nxt) -> None:
         acc.extend(sacc)
         total_ops += ops
     ctx.absorb(total_ops)
+
+
+def _indexed_attr(gen: Gen, build_q: Query) -> str | None:
+    """The attribute a persistent index serves this join's build side
+    by: set when the source is a bare extent and the key is one
+    attribute of the generator variable."""
+    if (
+        isinstance(gen.source, ExtentRef)
+        and isinstance(build_q, Field)
+        and isinstance(build_q.target, Var)
+        and build_q.target.name == gen.var
+    ):
+        return build_q.name
+    return None
 
 
 def _check_key(ctx, key: Query, is_objeq: bool) -> None:

@@ -5,33 +5,31 @@ query processing) prices a plan by what each *site* scans and what
 moves between sites.  The sharded database has the same shape in
 miniature: each shard is a site, a partition-parallel pipeline runs
 per shard, and the merge point pays for the rows the shards emit.
-:func:`build_cost_report` combines the optimizer's
-:class:`~repro.optimizer.cost.CostModel` (extent cardinalities,
-System-R selectivities) with the static shard analysis
-(:func:`repro.db.shards.static_read_shards`) to report, per extent
-access:
+:func:`build_cost_report` is a *view* of the plan ``run()`` executes:
+it projects the compiled plan's operator description
+(:attr:`~repro.exec.compiler.CompiledPlan.ops`), whose estimates and
+shard choices the compiler recorded, to report per extent access:
 
-* how many of the extent's shards the compiled plan would touch
-  (1 after shard-probe pruning, all ``k`` for an unconfined scan);
+* how many of the extent's shards the plan touches (1 after
+  shard-probe pruning, all ``k`` for an unconfined scan);
 * the estimated rows actually scanned (``ceil(rows / k)`` per shard
   touched — the partition is hash-balanced by construction);
-* the predicate selectivities that thin the pipeline downstream;
+* the filter selectivities that thin the pipeline downstream;
 
 and per comprehension the **merge cost**: the estimated rows (and
 bytes, at a flat per-row figure à la TD2's ``size_msg``) the per-shard
-pipelines hand to the ordered merge.  Everything is estimated from the
-catalog snapshot — the report never executes the query, so it is safe
-to call on any effect.
+pipelines hand to the ordered merge.  The report never executes the
+query, so it is safe to call on any effect; a query on the reduction
+engine reports only its estimated cost — the machine prunes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.lang.ast import Comp, ExtentRef, Gen, Pred, Query
+from repro.lang.ast import Query
 from repro.lang.pprint import pretty
-from repro.lang.traversal import walk
 
 #: Flat estimate of one row crossing a merge point, in bytes — an oid
 #: ref or small tuple; the TD2 ``size_msg`` analogue.
@@ -53,20 +51,6 @@ class ExtentAccess:
     rows_scanned: float
     pruned: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "extent": self.extent,
-            "class": self.cname,
-            "var": self.var,
-            "rows": self.rows,
-            "sharded": self.sharded,
-            "k": self.k,
-            "by": self.by,
-            "shards_accessed": self.shards_accessed,
-            "rows_scanned": self.rows_scanned,
-            "pruned": self.pruned,
-        }
-
 
 @dataclass
 class PredicateCost:
@@ -74,9 +58,6 @@ class PredicateCost:
 
     pred: str
     selectivity: float
-
-    def to_dict(self) -> dict:
-        return {"pred": self.pred, "selectivity": self.selectivity}
 
 
 @dataclass
@@ -87,14 +68,6 @@ class MergePoint:
     pipelines: int
     est_rows_moved: float
     est_bytes_moved: float
-
-    def to_dict(self) -> dict:
-        return {
-            "comp": self.comp,
-            "pipelines": self.pipelines,
-            "est_rows_moved": self.est_rows_moved,
-            "est_bytes_moved": self.est_bytes_moved,
-        }
 
 
 @dataclass
@@ -116,17 +89,11 @@ class CostReport:
         return sum(a.rows_scanned for a in self.accesses)
 
     def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "engine": self.engine,
-            "decision": self.decision,
-            "est_cost": self.est_cost,
-            "total_rows_scanned": self.total_rows_scanned,
-            "accesses": [a.to_dict() for a in self.accesses],
-            "predicates": [p.to_dict() for p in self.predicates],
-            "merges": [m.to_dict() for m in self.merges],
-            "notes": list(self.notes),
-        }
+        doc = asdict(self)
+        doc["total_rows_scanned"] = self.total_rows_scanned
+        for access in doc["accesses"]:
+            access["class"] = access.pop("cname")
+        return doc
 
     def render(self) -> str:
         lines = [
@@ -164,97 +131,66 @@ class CostReport:
 
 
 def build_cost_report(db, q: Query) -> CostReport:
-    """Assemble the report for ``q`` against ``db``'s current catalog."""
-    from repro.db.shards import static_read_shards
-    from repro.optimizer.cost import CostModel
-    from repro.optimizer.planner import optimize
-
+    """Project ``q``'s cached plan description into the report."""
     db.typecheck(q)
     decision = db.plan_decision(q)
-    model = CostModel.from_database(db)
-    try:
-        normalised = optimize(db, q).query
-    except Exception:
-        normalised = q
-    shards = getattr(db, "_shards", None)
-    enabled = shards is not None and shards.enabled
-    confinement = (
-        static_read_shards(shards, db.schema, normalised)
-        if enabled
-        else None
-    )
-
     report = CostReport(
         query=pretty(q),
         engine=decision.engine,
         decision=decision.reason,
-        est_cost=model.eval_cost(normalised),
+        est_cost=0.0,
     )
-    if decision.plan is not None:
-        report.notes.extend(decision.plan.notes)
+    plan = decision.plan
+    if plan is None:
+        from repro.optimizer.cost import CostModel
 
-    seen_preds: set[Query] = set()
-    for node in walk(normalised):
-        if not isinstance(node, Comp):
-            continue
-        pipelines = 1
-        for cq in node.qualifiers:
-            if isinstance(cq, Pred):
-                if cq.cond not in seen_preds:
-                    seen_preds.add(cq.cond)
-                    report.predicates.append(
-                        PredicateCost(
-                            pretty(cq.cond),
-                            model.predicate_selectivity(cq.cond),
-                        )
-                    )
-                continue
-            if not isinstance(cq, Gen) or not isinstance(
-                cq.source, ExtentRef
-            ):
-                continue
-            extent = cq.source.name
-            try:
-                cname = db.schema.extent_class(extent)
-            except Exception:
-                continue
-            rows = len(db.ee.members(extent))
-            spec = shards.spec(extent) if enabled else None
-            if spec is None:
-                report.accesses.append(
-                    ExtentAccess(
-                        extent, cname, cq.var, rows,
-                        sharded=False, k=1, by=None,
-                        shards_accessed=1,
-                        rows_scanned=float(rows),
-                        pruned=False,
-                    )
-                )
-                continue
-            confined = (
-                confinement.get(cname) if confinement is not None else None
-            )
-            accessed = len(confined) if confined is not None else spec.k
-            per_shard = math.ceil(rows / spec.k) if spec.k else rows
+        report.est_cost = CostModel.from_database(db).eval_cost(q)
+        report.notes.append(
+            "the reduction machine prunes nothing: no access is priced"
+        )
+        return report
+    ops = plan.ops
+    report.est_cost = ops[0].extra["est_cost"]
+    report.notes.extend(plan.notes)
+    pipelines: dict[int, int] = {}
+    for op in ops:
+        x = op.extra
+        if op.kind == "filter":
+            pred = op.label.removeprefix("filter ")
+            report.predicates.append(PredicateCost(pred, x["selectivity"]))
+        elif "extent" in x:
+            rows = int(x["rows"])
+            per_shard = math.ceil(rows / x["k"])
             report.accesses.append(
                 ExtentAccess(
-                    extent, cname, cq.var, rows,
-                    sharded=True, k=spec.k, by=spec.by,
-                    shards_accessed=accessed,
-                    rows_scanned=float(per_shard * accessed),
-                    pruned=confined is not None,
+                    x["extent"], db.schema.extent_class(x["extent"]),
+                    x["var"], rows,
+                    sharded=x["sharded"], k=x["k"], by=x["by"],
+                    shards_accessed=x["shards"],
+                    rows_scanned=float(per_shard * x["shards"]),
+                    pruned=x["pruned"],
                 )
             )
             # an unconfined scan of a sharded extent fans out one
             # pipeline per shard; a pruned access runs one
-            pipelines = max(pipelines, accessed)
-        est_out = model.cardinality(node)
-        report.merges.append(
-            MergePoint(
-                comp=pretty(node),
-                pipelines=pipelines,
-                est_rows_moved=est_out,
-                est_bytes_moved=est_out * ROW_BYTES,
+            comp = _enclosing_comp(ops, op)
+            pipelines[comp] = max(pipelines.get(comp, 1), x["shards"])
+    for op in ops:
+        if op.kind == "comp":
+            report.merges.append(
+                MergePoint(
+                    comp=op.label,
+                    pipelines=pipelines.get(op.op_id, 1),
+                    est_rows_moved=op.est_rows,
+                    est_bytes_moved=op.est_rows * ROW_BYTES,
+                )
             )
-        )
     return report
+
+
+def _enclosing_comp(ops, op) -> int:
+    """The id of the comprehension whose pipeline ``op`` belongs to."""
+    parent = op.parent
+    while ops[parent].kind != "comp":
+        parent = ops[parent].parent
+    return parent

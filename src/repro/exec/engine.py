@@ -12,7 +12,8 @@ recorded for ``.explain``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from time import perf_counter
 
 from repro.effects.algebra import Effect
 from repro.exec.cache import PlanEntry
@@ -80,46 +81,58 @@ def decide(db, q: Query) -> PlanDecision:
 
 
 def _stats_stale(db, entry: PlanEntry) -> bool:
-    """Has the statistics epoch drifted since ``entry`` was costed?"""
+    """Has the statistics epoch drifted since ``entry`` was costed?
+
+    A cached refusal was costed against nothing: the compiler refuses
+    on syntax alone.
+    """
     catalog = getattr(db, "_stats", None)
-    if catalog is None:
+    if catalog is None or entry.plan is None:
         return False
     return entry.stats_epoch != catalog.observe(db.ee)
 
 
 def _compile_entry(db, q: Query, eff: Effect) -> PlanEntry:
+    entry = PlanEntry(plan=None, reads=eff.reads(), static_effect=eff)
+    try:
+        entry.plan, model = build_plan(db, q)
+    except NotCompilable as exc:
+        entry.reason = f"not compilable: {exc}"
+        return entry
+    entry.stats_epoch = model.stats_epoch
+    return entry
+
+
+def build_plan(db, q: Query, *, profile: bool = False, overrides=None):
+    """The one plan builder: ``(plan, model)`` for ``q`` against ``db``.
+
+    Takes one catalog snapshot, runs the cost-based pipeline (the
+    reorder rule prices generator orders with it) and compiles against
+    the database's shard layout, so a plan built here for
+    ``.explain analyze`` (``profile=True``: the same plan plus operator
+    wrappers) is the one ``run()`` caches.  ``overrides`` maps source
+    sub-queries to observed cardinalities — the adaptive replanner's
+    feedback.  Raises :class:`NotCompilable` outside the compiled
+    fragment.
+    """
     from repro.optimizer.cost import CostModel, cost_rules
     from repro.optimizer.planner import optimize
 
-    # cost-based pipeline: the reorder rule prices generator orders
-    # with the stats catalog, and the model rides into the compiler
-    # for join selection and the replan guards' baked-in estimates
     model = CostModel.from_database(db)
-    try:
-        normalised = optimize(db, q, cost_rules(model), model=model).query
-        plan = compile_plan(
-            db.schema,
-            db._definitions,
-            normalised,
-            method_mode=db.method_mode,
-            method_fuel=db.machine.method_fuel,
-            cost_model=model,
-            shards=getattr(db, "_shards", None),
-        )
-        return PlanEntry(
-            plan=plan,
-            reads=eff.reads(),
-            static_effect=eff,
-            stats_epoch=model.stats_epoch,
-        )
-    except NotCompilable as exc:
-        return PlanEntry(
-            plan=None,
-            reads=eff.reads(),
-            static_effect=eff,
-            reason=f"not compilable: {exc}",
-            stats_epoch=model.stats_epoch,
-        )
+    if overrides:
+        model.card_overrides.update(overrides)
+    normalised = optimize(db, q, cost_rules(model), model=model).query
+    plan = compile_plan(
+        db.schema,
+        db._definitions,
+        normalised,
+        method_mode=db.method_mode,
+        method_fuel=db.machine.method_fuel,
+        profile=profile,
+        cost_model=model,
+        shards=db._shards,
+    )
+    return plan, model
 
 
 def route_read(db, q: Query, decision: PlanDecision, **run_kw):
@@ -144,7 +157,14 @@ def route_read(db, q: Query, decision: PlanDecision, **run_kw):
 
 
 def execute_plan(
-    db, entry: PlanEntry, *, budget=None, ee=None, oe=None, trace=None
+    db,
+    entry: PlanEntry,
+    *,
+    budget=None,
+    ee=None,
+    oe=None,
+    trace=None,
+    prof=None,
 ):
     """Run a compiled plan against the database's current EE/OE.
 
@@ -156,9 +176,12 @@ def execute_plan(
     ``trace``, when a dict, receives ``"shard_reads"``: the dynamic
     per-class shard sets this execution actually touched (``None`` =
     all shards) — the result cache's per-``(class, shard)`` key.
+    ``prof``, a :class:`~repro.obs.profile.ProfileRun`, collects a
+    profiled plan's operator counters (``.explain analyze``); the root
+    operator is credited with one call and the whole wall-time.
 
-    **Adaptive replanning**: on a non-pinned execution the context
-    carries a :class:`~repro.exec.runtime.ReplanGuard`; when an
+    **Adaptive replanning**: on a non-pinned, unprofiled execution the
+    context carries a :class:`~repro.exec.runtime.ReplanGuard`; when an
     observed source cardinality diverges from the plan's compile-time
     estimate by ``db.replan_ratio`` or more, the plan raises
     :class:`~repro.exec.runtime.ReplanSignal`, the entry is recompiled
@@ -187,12 +210,14 @@ def execute_plan(
             shards=None if pinned else getattr(db, "_shards", None),
             closure_indexes=None if pinned else db._closure_indexes,
         )
-        if attempt == 0 and not pinned and ratio:
+        ctx.prof = prof
+        if attempt == 0 and not pinned and ratio and prof is None:
             ctx.replan = ReplanGuard(ratio)
         # one charge per execution: every machine run takes at least one
         # step, so the compiled engine exposes the same fault/budget site
         # even for constant plans
         ctx.charge()
+        t0 = perf_counter()
         try:
             if ctx.obs:
                 from repro.obs.spans import span as _span
@@ -207,6 +232,9 @@ def execute_plan(
             _replan_entry(db, entry, sig)
             continue
         break
+    if prof is not None:
+        prof.rows[0] = 1
+        prof.times[0] = perf_counter() - t0
     if trace is not None:
         trace["shard_reads"] = {
             c: (None if s is None else frozenset(s))
@@ -218,7 +246,7 @@ def execute_plan(
 def _replan_entry(db, entry: PlanEntry, sig) -> None:
     """Mid-query re-optimization after a caught :class:`ReplanSignal`.
 
-    Recompiles the entry's plan with the *observed* cardinality of the
+    Rebuilds the entry's plan with the *observed* cardinality of the
     misestimated source installed as an override, so the join-order
     search prices the permutations against reality; the refreshed plan
     replaces the cached one in place (later executions keep it).
@@ -227,32 +255,15 @@ def _replan_entry(db, entry: PlanEntry, sig) -> None:
     from repro.obs import flight as _flight
     from repro.obs._state import STATE as _OBS
     from repro.obs.metrics import REGISTRY as _METRICS
-    from repro.optimizer.cost import CostModel, cost_rules
-    from repro.optimizer.planner import optimize
 
-    model = CostModel.from_database(db)
-    model.card_overrides[sig.source] = float(sig.actual)
-    base = entry.plan.source
-    normalised = optimize(db, base, cost_rules(model), model=model).query
-    plan = compile_plan(
-        db.schema,
-        db._definitions,
-        normalised,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        cost_model=model,
-        shards=getattr(db, "_shards", None),
+    plan, model = build_plan(
+        db, entry.plan.source, overrides={sig.source: float(sig.actual)}
     )
     note = (
         f"replan: {pretty(sig.source)} estimated {sig.est:.0f} rows, "
         f"observed {sig.actual}"
     )
-    entry.plan = CompiledPlan(
-        fn=plan.fn,
-        source=plan.source,
-        notes=plan.notes + (note,),
-        ops=plan.ops,
-    )
+    entry.plan = replace(plan, notes=plan.notes + (note,))
     entry.stats_epoch = model.stats_epoch
     qstats = getattr(db, "_qstats", None)
     if qstats is not None and "replans" in qstats:
@@ -265,66 +276,3 @@ def _replan_entry(db, entry: PlanEntry, sig) -> None:
         est=round(sig.est, 1),
         actual=sig.actual,
     )
-
-
-def compile_profiled(db, q: Query):
-    """Compile ``q`` with per-operator instrumentation for
-    ``.explain analyze``.
-
-    Always compiles fresh (never the plan cache): profiled plans carry
-    wrappers a production run must not pay for, and the cost model is
-    snapshotted from the *current* catalog so estimates are the ones a
-    replanner would see now.  Returns ``(plan, normalised, model)``.
-    Raises :class:`NotCompilable` for queries outside the compiled
-    fragment — the caller falls back to instrumented reduction.
-    """
-    from repro.optimizer.cost import CostModel, cost_rules
-    from repro.optimizer.planner import optimize
-
-    model = CostModel.from_database(db)
-    normalised = optimize(db, q, cost_rules(model), model=model).query
-    plan = compile_plan(
-        db.schema,
-        db._definitions,
-        normalised,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        profile=True,
-        cost_model=model,
-    )
-    return plan, normalised, model
-
-
-def execute_profiled(db, plan: CompiledPlan, *, budget=None):
-    """Run a profiled plan; returns ``(value, ctx, run, elapsed_s)``.
-
-    The run's root operator (id 0) is credited with one call and the
-    whole wall-time, so ``build_nodes`` can report the plan total.
-    """
-    import time
-
-    from repro.obs.profile import ProfileRun
-
-    ctx = ExecContext(
-        db.ee,
-        db.oe,
-        db.schema,
-        db._definitions,
-        method_mode=db.method_mode,
-        method_fuel=db.machine.method_fuel,
-        supply=db.supply,
-        budget=budget,
-        indexes=db._indexes,
-        state_version=db._state_version,
-        closure_indexes=db._closure_indexes,
-    )
-    run = ProfileRun(len(plan.ops))
-    ctx.prof = run
-    ctx.charge()
-    t0 = time.perf_counter()
-    value = plan.fn(ctx, {})
-    elapsed = time.perf_counter() - t0
-    if plan.ops:
-        run.rows[0] = 1
-        run.times[0] = elapsed
-    return value, ctx, run, elapsed

@@ -4,7 +4,7 @@ A profiled execution of a compiled plan produces three layers:
 
 * :class:`OpDescr` — the *static* side, one record per plan operator
   (scan, filter, hash join, emit, nested comprehension), created by the
-  compiler in profile mode.  Each carries the cost model's **estimated**
+  compiler for every plan.  Each carries the cost model's **estimated**
   output cardinality, so the profile can hold estimate and actual side
   by side — the data feed a cost-based replanner needs.
 * :class:`ProfileRun` — the *dynamic* side, two flat arrays (call
@@ -34,7 +34,7 @@ def _short(text: str, width: int = 120) -> str:
     return text if len(text) <= width else text[: width - 1] + "…"
 
 
-@dataclass
+@dataclass(slots=True)
 class OpDescr:
     """One plan operator, as the compiler described it.
 
@@ -52,6 +52,36 @@ class OpDescr:
     est_rows: float
     rows_from: int
     extra: dict = field(default_factory=dict)
+
+
+def _depths(ops) -> list[int]:
+    """Nesting depth of each operator (the root is 0); the compiler
+    lists a parent before its children."""
+    depth: dict[int, int] = {}
+    for op in ops:
+        depth[op.op_id] = 0 if op.parent is None else depth[op.parent] + 1
+    return [depth[op.op_id] for op in ops]
+
+
+def describe_ops(ops) -> list[str]:
+    """One line per operator of a plan description, indented by
+    nesting, with its estimated output rows — ``.explain``'s view."""
+    return [
+        f"{'  ' * d}{op.label} (est {op.est_rows:.1f} rows)"
+        for op, d in zip(ops, _depths(ops))
+    ]
+
+
+def same_operators(a, b) -> bool:
+    """Do two operator descriptions lay out the same pipeline?
+
+    Estimates may differ; kinds, labels and nesting may not — the
+    condition for one plan's run counters to overlay the other's
+    description.
+    """
+    return [(o.parent, o.kind, o.label) for o in a] == [
+        (o.parent, o.kind, o.label) for o in b
+    ]
 
 
 class ProfileRun:
@@ -216,18 +246,7 @@ class QueryProfile:
                 f"{'est rows':>10} {'actual':>8} {'ratio':>7} "
                 f"{'calls':>7} {'ms':>9} {'self ms':>9}"
             )
-            depth = {
-                n.op_id: (0 if n.parent is None else -1) for n in self.nodes
-            }
-            by_id = {n.op_id: n for n in self.nodes}
-
-            def _depth(op_id: int) -> int:
-                if depth[op_id] < 0:
-                    depth[op_id] = _depth(by_id[op_id].parent) + 1
-                return depth[op_id]
-
-            for n in self.nodes:
-                d = _depth(n.op_id)
+            for n, d in zip(self.nodes, _depths(self.nodes)):
                 label = _short("  " * d + n.label, _LABEL_WIDTH)
                 ratio = (
                     "   inf" if n.misestimate is None

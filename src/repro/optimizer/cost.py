@@ -27,6 +27,7 @@ observed cardinalities mid-query and replans on divergence.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -82,16 +83,18 @@ class BoundStats:
 
     Column stats are built/validated against the database's *current*
     store version at first use, so a model snapshot stays cheap when the
-    optimizer never asks about a column.
+    optimizer never asks about a column.  The database is held weakly:
+    a cached plan keeps its model for deferred estimates, and must not
+    keep the database alive through its own plan cache.
     """
 
     __slots__ = ("_db",)
 
     def __init__(self, db):
-        self._db = db
+        self._db = weakref.ref(db)
 
     def column(self, extent: str, attr: str):
-        db = self._db
+        db = self._db()
         catalog = getattr(db, "_stats", None)
         if catalog is None:
             return None

@@ -318,7 +318,9 @@ def _pred_pushdown(rc: RewriteContext, q: Query) -> Query | None:
             if not rc_j.skippable(cr_inner_q):
                 break
             target = j
-        if target < i:
+        # crossing only predicates changes no evaluation count; moving
+        # anyway lets two same-slot predicates swap places every pass
+        if any(isinstance(quals[j], Gen) for j in range(target, i)):
             new_quals = list(quals)
             del new_quals[i]
             new_quals.insert(target, cq)

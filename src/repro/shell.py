@@ -302,6 +302,10 @@ class Shell:
             dec = self.db.plan_decision(q)
             lines.append(f"engine         : {dec.engine} — {dec.reason}")
             if dec.plan is not None:
+                from repro.obs.profile import describe_ops
+
+                for op in describe_ops(dec.plan.ops):
+                    lines.append(f"operator       : {op}")
                 for note in dec.plan.notes:
                     lines.append(f"plan note      : {note}")
             return "\n".join(lines)

@@ -16,6 +16,10 @@ import random
 import pytest
 
 from repro.db.database import Database
+from repro.optimizer.cost import CostModel, cost_rules
+from repro.optimizer.planner import _MAX_PASSES, Planner
+
+from tests.conftest import EMPLOYEE_ODL
 
 ODL = """
 class Emp extends Object (extent Emps) {
@@ -168,3 +172,45 @@ class TestDifferential:
                 db.run(src, commit=False).value
                 == db.run(src, commit=False, engine="bigstep").value
             )
+
+
+def planner_passes(db: Database, src: str) -> int:
+    """Bottom-up rewrite passes the cost-based pipeline takes to reach a
+    fixpoint on ``src`` (``_MAX_PASSES + 1`` when it never does)."""
+    model = CostModel.from_database(db)
+    ctx = db.type_context()
+    planner = Planner(ctx, cost_rules(model))
+    current = db.parse(src)
+    for passes in range(1, _MAX_PASSES + 1):
+        rewritten = planner._pass(ctx, current)
+        if rewritten == current:
+            return passes
+        current = rewritten
+    return _MAX_PASSES + 1
+
+
+class TestConvergence:
+    """Two pure predicates sharing a slot once swapped places on every
+    pass, so the planner only stopped at its pass limit."""
+
+    def test_every_corpus_query_reaches_a_fixpoint(self):
+        db = build_db()
+        stuck = [
+            src for src in corpus() if planner_passes(db, src) >= _MAX_PASSES
+        ]
+        assert not stuck, stuck[:3]
+
+    def test_hr_join_reaches_a_fixpoint(self):
+        db = Database.from_odl(EMPLOYEE_ODL)
+        manager = db.insert(
+            "Manager", name="m", age=50, address="a", level=1
+        )
+        db.insert(
+            "Employee", name="e", age=40, address="a", EmpID=1,
+            GrossSalary=4000, UniqueManager=manager,
+        )
+        src = (
+            "{ struct(e: e.name, m: m.name) | e <- Employees, m <- Managers, "
+            "e.UniqueManager == m, m.level = 1, e.age > 30 }"
+        )
+        assert planner_passes(db, src) < _MAX_PASSES
