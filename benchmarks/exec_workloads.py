@@ -30,18 +30,28 @@ analyze``'s per-operator instrumentation: profiled execution (prebuilt
 plan, compile cost excluded) must stay within ``PROFILE_BAR`` (1.5×)
 of the plain compiled engine, and a profiled run with observability
 off must leave the obs stores untouched.
+
+``--scale-sweep`` runs only the scale-sweep gate: the median warm,
+result-cached point read through ``Database.run`` on stores of 1k and
+50k objects (built by direct EE/OE construction).  Such a read does no
+work that depends on the store, so the 50k median must stay within
+``SWEEP_BAR`` (2×) of the 1k median::
+
+    REPRO_BENCH_QUICK=1 PYTHONPATH=src python benchmarks/exec_workloads.py --scale-sweep
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import statistics
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from workloads import hr  # noqa: E402
+from workloads import HR_ODL, hr  # noqa: E402
 
 from repro.semantics.bigstep import evaluate_bigstep  # noqa: E402
 from repro.exec.engine import execute_plan  # noqa: E402
@@ -53,6 +63,10 @@ SCALE = dict(n_employees=150, n_managers=15) if QUICK else dict(
 REPEATS = 3 if QUICK else 5
 JOIN_BAR = 10.0  # the PR's acceptance bar on the join workloads
 PROFILE_BAR = 1.5  # max allowed profiled/plain execution ratio
+SWEEP_SIZES = (1_000, 50_000)
+SWEEP_BAR = 2.0  # max allowed 50k/1k ratio of the warm point-read median
+SWEEP_READS = 500 if QUICK else 3000
+SWEEP_QUERY = "{ e.name | e <- Employees, e.EmpID = 17 }"
 
 WORKLOADS = {
     "join_nested_teams": (
@@ -207,7 +221,89 @@ def bench_obs(db) -> int:
     return len(failures)
 
 
+def hr_direct(n_objects: int):
+    """An HR store of ``n_objects`` installed by direct EE/OE construction.
+
+    One manager per hundred objects, the rest employees.  Built as
+    ``workloads.ref_graph`` builds its graphs: ``insert`` would pay one
+    O(store) object-environment copy per object.
+    """
+    from repro.db.database import Database
+    from repro.db.store import ExtentEnv, ObjectEnv, ObjectRecord
+    from repro.lang.ast import IntLit, OidRef, StrLit
+
+    db = Database.from_odl(HR_ODL)
+    n_managers = max(1, n_objects // 100)
+    members: dict[str, list[str]] = {"Manager": [], "Employee": []}
+    recs = {}
+
+    def add(cname: str, oid: str, values: dict) -> None:
+        recs[oid] = ObjectRecord(
+            cname, tuple((a, values[a]) for a, _ in db.schema.atypes(cname))
+        )
+        members[cname].append(oid)
+
+    for i in range(n_managers):
+        add("Manager", f"@Manager_{i}", {
+            "name": StrLit(f"mgr{i}"), "age": IntLit(40 + i % 30),
+            "level": IntLit(i % 4),
+        })
+    for i in range(n_objects - n_managers):
+        add("Employee", f"@Employee_{i}", {
+            "name": StrLit(f"emp{i}"), "age": IntLit(20 + (i * 7) % 40),
+            "EmpID": IntLit(i), "GrossSalary": IntLit(3500 + i % 2000),
+            "UniqueManager": OidRef(f"@Manager_{i % n_managers}"),
+        })
+    db.ee = ExtentEnv({
+        "Persons": ("Person", frozenset()),
+        "Managers": ("Manager", frozenset(members["Manager"])),
+        "Employees": ("Employee", frozenset(members["Employee"])),
+    })
+    db.oe = ObjectEnv(recs)
+    db.supply._next = n_objects
+    return db
+
+
+def warm_point_read_us(n_objects: int) -> float:
+    """Median µs of a warm, result-cached point read at ``n_objects``."""
+    db = hr_direct(n_objects)
+    first = db.run(SWEEP_QUERY)
+    db.run(SWEEP_QUERY)
+    gc.collect()
+    samples = []
+    for _ in range(SWEEP_READS):
+        start = time.perf_counter()
+        res = db.run(SWEEP_QUERY)
+        samples.append(time.perf_counter() - start)
+    assert res.value == first.value
+    return statistics.median(samples) * 1e6
+
+
+def scale_sweep() -> int:
+    """The scale-sweep gate; returns the number of failures."""
+    medians = {n: warm_point_read_us(n) for n in SWEEP_SIZES}
+    for n, us in medians.items():
+        print(f"warm cached point read  {n:>6} objects  {us:8.1f} µs")
+    lo, hi = medians[SWEEP_SIZES[0]], medians[SWEEP_SIZES[-1]]
+    ratio = hi / lo
+    status = "ok" if ratio <= SWEEP_BAR else f"ABOVE {SWEEP_BAR:g}x BAR"
+    print(
+        f"{SWEEP_SIZES[-1]} / {SWEEP_SIZES[0]} objects: {ratio:.2f}x   {status}"
+    )
+    if ratio > SWEEP_BAR:
+        print(
+            f"FAIL: warm cached point read grows {ratio:.2f}x from "
+            f"{SWEEP_SIZES[0]} to {SWEEP_SIZES[-1]} objects "
+            f"(bar {SWEEP_BAR:g}x)",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def main() -> int:
+    if "--scale-sweep" in sys.argv[1:]:
+        return scale_sweep()
     db = hr(**SCALE)
     report: dict = {
         "quick": QUICK,

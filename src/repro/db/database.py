@@ -48,7 +48,7 @@ from repro.lang.traversal import resolve_extents
 from repro.methods.ast import AccessMode
 from repro.methods.typing import check_schema_methods
 from repro.model.schema import Schema
-from repro.model.types import ClassType, FuncType, Type
+from repro.model.types import FuncType, Type
 from repro.db.shards import ShardedExtents
 from repro.db.statistics import StatisticsCatalog
 from repro.db.store import (
@@ -62,7 +62,7 @@ from repro.db.store import (
 from repro.db.wal import WriteAheadLog
 from repro.errors import ReproError
 from repro.lang.pprint import pretty, pretty_definition
-from repro.exec.cache import PlanCache, schema_fingerprint
+from repro.exec.cache import PlanCache, Statement, schema_fingerprint
 from repro.exec.engine import (
     PlanDecision,
     decide as _decide_engine,
@@ -82,7 +82,7 @@ from repro.semantics.explorer import Exploration, explore
 from repro.semantics.machine import Machine
 from repro.semantics.strategy import FIRST, Strategy
 from repro.typing.checker import check_definition, check_query
-from repro.typing.context import TypeContext
+from repro.typing.context import OidTypes, TypeContext
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,6 @@ class Database:
         self._defs_version = 0
         self._ee: ExtentEnv | None = None
         self._oe: ObjectEnv | None = None
-        # oid→ClassType map memoised per store version: every typecheck
-        # needs it, and between writes it cannot change (any EE/OE
-        # install bumps _state_version through the setters above)
-        self._oid_types_cache: tuple[int, dict[str, Type]] | None = None
         self._plan_cache = PlanCache(schema_fingerprint(schema))
         self._indexes = AttributeIndexes()
         # persistent interval (pre/post-order) indexes for unbounded
@@ -779,26 +775,18 @@ class Database:
         return dict(self._definitions)
 
     # -- contexts ----------------------------------------------------------
-    def oid_types(self) -> dict[str, Type]:
+    def oid_types(self) -> OidTypes:
         """The oid fragment of Q: every live oid at its dynamic class.
 
-        Memoised on the store version: callers must not mutate the
-        returned dict (``TypeContext.extend`` copies before binding).
+        A read-only view over the current object environment (O(1) to
+        build; each lookup reads one object record).
         """
-        cached = self._oid_types_cache
-        version = self._state_version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        vars = {
-            oid: ClassType(rec.cname) for oid, rec in self.oe.items()
-        }
-        self._oid_types_cache = (version, vars)
-        return vars
+        return OidTypes(self.oe)
 
     def type_context(self) -> TypeContext:
         """(E; D; Q) for this database's current state."""
         return TypeContext(
-            self.schema, defs=dict(self._def_types), vars=self.oid_types()
+            self.schema, defs=dict(self._def_types), oids=self.oid_types()
         )
 
     # -- parsing -----------------------------------------------------------
@@ -811,11 +799,40 @@ class Database:
     # -- static analysis -----------------------------------------------------
     def typecheck(self, source: str | Query) -> Type:
         """Figure 1: the type of the query, or :class:`IOQLTypeError`."""
+        return _figure1(self.type_context(), self.parse(source))
+
+    def _statement(
+        self, source: str | Query, *, typecheck: bool = True
+    ) -> Statement:
+        """``source`` parsed, typed (Figure 1) and effect-checked (Figure 3).
+
+        Served from the statement cache when this source was checked
+        under the same definitions and its free oids still have the
+        classes they were checked at (see :mod:`repro.exec.cache`).  On
+        a miss, parse and Figure 1 errors raise (Figure 1 runs only
+        when ``typecheck``); a Figure 3 rejection comes back on the
+        statement (``effect is None``), because ``run`` then falls back
+        to the reduction machine rather than failing.  Only a statement
+        both judgements accepted is cached.
+        """
+        oe = self.oe
+        defs_version = self._defs_version
+        stmt = self._plan_cache.statement(source, defs_version, oe)
+        if stmt is not None:
+            return stmt
         q = self.parse(source)
-        with _span("typecheck"):
-            if _OBS.enabled:
-                _METRICS.counter("typecheck_total").inc()
-            return check_query(self.type_context(), q)
+        ctx = TypeContext(
+            self.schema, defs=dict(self._def_types), oids=OidTypes(oe)
+        )
+        t = _figure1(ctx, q) if typecheck else None
+        try:
+            _, eff = EffectChecker().check_traced(ctx, q)
+        except ReproError as exc:
+            return Statement(q, t, None, error=exc)
+        stmt = Statement(q, t, eff, Statement.free_oids(q, oe))
+        if typecheck:
+            self._plan_cache.put_statement(source, defs_version, stmt)
+        return stmt
 
     def effect_of(self, source: str | Query) -> Effect:
         """Figure 3: the inferred effect ε of the query."""
@@ -885,7 +902,11 @@ class Database:
         """Evaluate a query under one strategy; optionally commit EE/OE.
 
         ``typecheck=True`` (default) runs Figure 1 first, so evaluation
-        enjoys Theorem 3 and can never get stuck.  ``engine`` selects
+        enjoys Theorem 3 and can never get stuck.  Parsing and both
+        judgements happen once per statement: a source checked before,
+        under the same definitions and with its free oids unchanged, is
+        served from the statement cache (``typecheck=False`` reads that
+        cache but never adds an unchecked entry).  ``engine`` selects
         the presentation: ``"auto"`` (default) routes the query through
         the compiled set-at-a-time engine when the Figure 3 effect
         system proves it read-only (Theorem 4 then guarantees the
@@ -919,15 +940,13 @@ class Database:
         """
         self._check_fenced()
         with _span("query", engine=engine):
-            q = self.parse(source)
-            if typecheck:
-                self.typecheck(q)
+            stmt = self._statement(source, typecheck=typecheck)
+            q = stmt.query
             scope: TransactionScope | None = None
             if atomic:
-                _, static_eff = EffectChecker().check_traced(
-                    self.type_context(), q
-                )
-                scope = TransactionScope.capture(self, static_eff)
+                if stmt.effect is None:
+                    raise stmt.error
+                scope = TransactionScope.capture(self, stmt.effect)
             attempt = 0
             while True:
                 attempt += 1
@@ -936,7 +955,7 @@ class Database:
                 )
                 try:
                     return self._run_once(
-                        q,
+                        stmt,
                         strategy=strategy,
                         max_steps=max_steps,
                         commit=commit,
@@ -966,7 +985,7 @@ class Database:
 
     def _run_once(
         self,
-        q: Query,
+        stmt: Statement,
         *,
         strategy: Strategy,
         max_steps: int,
@@ -975,9 +994,10 @@ class Database:
         budget: Budget | None,
     ) -> EvalResult:
         """One evaluation attempt plus (optionally) its commit."""
+        q = stmt.query
         decision: PlanDecision | None = None
         if engine == "auto":
-            decision = self.plan_decision(q)
+            decision = _decide_engine(self, stmt)
             if self._replicas is not None:
                 # effect-proven read-only: try a fresh-enough replica;
                 # None means none covers the R-set right now, and the
@@ -992,7 +1012,7 @@ class Database:
                     return routed
             engine = decision.engine
         elif engine == "compiled":
-            decision = self.plan_decision(q)
+            decision = _decide_engine(self, stmt)
             if decision.engine != "compiled":
                 raise ValueError(
                     f"query cannot run on the compiled engine: "
@@ -1181,9 +1201,10 @@ class Database:
         schedule — including the compiled set-at-a-time operator
         order — yields the same observables) and the plan compiler
         covers its syntax.  The decision object carries the compiled
-        plan's operator notes for ``.explain``.
+        plan's operator notes for ``.explain``.  Reads the statement
+        cache; a miss runs Figure 3 only and caches nothing.
         """
-        return _decide_engine(self, self.parse(source))
+        return _decide_engine(self, self._statement(source, typecheck=False))
 
     # -- sharding ----------------------------------------------------------
     def shard(self, cname: str, *, k: int = 8, by: str | None = None):
@@ -1285,10 +1306,10 @@ class Database:
             same_operators,
         )
 
-        q = self.parse(source)
-        self.typecheck(q)
+        stmt = self._statement(source)
+        q = stmt.query
         src_text = source if isinstance(source, str) else pretty(q)
-        decision = self.plan_decision(q)
+        decision = _decide_engine(self, stmt)
         if decision.engine == "compiled":
             from repro.exec.cache import PlanEntry
             from repro.exec.engine import build_plan, execute_plan
@@ -1417,7 +1438,8 @@ class Database:
     ):
         """Run a batch of queries concurrently, observably as-if serial.
 
-        Admits every query (parse + Figure 3 effect inference) in list
+        Admits every query (its statement: parse, Figure 1 and the
+        Figure 3 effect, served from the statement cache) in list
         order, builds the conflict graph over the static effects
         (:meth:`Effect.interferes_with` plus the scheduler's
         writer/update coarsening), then runs non-conflicting queries in
@@ -1506,6 +1528,14 @@ class Database:
         """Read one attribute of a live object."""
         key = oid.name if isinstance(oid, OidRef) else oid
         return self.oe.get(key).attr(name)
+
+
+def _figure1(ctx: TypeContext, q: Query) -> Type:
+    """Figure 1 under ``ctx``, as one ``typecheck`` span."""
+    with _span("typecheck"):
+        if _OBS.enabled:
+            _METRICS.counter("typecheck_total").inc()
+        return check_query(ctx, q)
 
 
 # Re-exported conversions (defined next to the value grammar).

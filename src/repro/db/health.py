@@ -1,7 +1,7 @@
 """The live health surface: one snapshot dict per call, no daemon.
 
 :func:`collect` assembles a nested, JSON-safe dict from counters every
-subsystem keeps *anyway* (plan-cache hit/miss totals, the WAL's rolling
+subsystem keeps *anyway* (plan- and statement-cache hit/miss totals, the WAL's rolling
 fsync-latency window, the last ``run_many`` batch stats, the flight
 recorder's ring bookkeeping) — taking a snapshot allocates a dict but
 adds no steady-state cost to the instrumented paths, so ``health()``
@@ -57,6 +57,12 @@ def collect(db: "Database") -> dict:
             "misses": cache.misses,
             "evictions": cache.evictions,
             "hit_rate": _rate(cache.hits, cache.misses),
+        },
+        "statements": {
+            "entries": cache.statement_count(),
+            "hits": cache.statement_hits,
+            "misses": cache.statement_misses,
+            "hit_rate": _rate(cache.statement_hits, cache.statement_misses),
         },
         "queries": dict(db._qstats),
         "result_cache": {
@@ -145,6 +151,8 @@ _GAUGES: dict[str, tuple[str, ...]] = {
     "plan_cache_entries": ("plan_cache", "entries"),
     "plan_cache_hit_rate": ("plan_cache", "hit_rate"),
     "plan_cache_evictions": ("plan_cache", "evictions"),
+    "statement_cache_entries": ("statements", "entries"),
+    "statement_cache_hit_rate": ("statements", "hit_rate"),
     "result_cache_hit_rate": ("result_cache", "hit_rate"),
     "queries_total": ("queries", "runs"),
     "query_failures_total": ("queries", "failures"),
@@ -206,6 +214,7 @@ def render(snapshot: dict) -> str:
     """The ``.top`` view: the snapshot as an aligned two-column board."""
     q = snapshot["queries"]
     pc = snapshot["plan_cache"]
+    sc = snapshot["statements"]
     w = snapshot["wal"]
     fl = snapshot["flight"]
     lines = [
@@ -217,6 +226,9 @@ def render(snapshot: dict) -> str:
         "  plan cache  "
         f"entries={pc['entries']} hit_rate={pc['hit_rate']:.0%} "
         f"evictions={pc['evictions']}",
+        "  statements  "
+        f"entries={sc['entries']} hit_rate={sc['hit_rate']:.0%} "
+        f"hits={sc['hits']} misses={sc['misses']}",
         "  result cache"
         f" hits={snapshot['result_cache']['hits']} "
         f"hit_rate={snapshot['result_cache']['hit_rate']:.0%}",

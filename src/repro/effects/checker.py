@@ -401,7 +401,7 @@ class EffectChecker:
     ) -> tuple[Type, Effect]:
         """⊢_prog: thread definition (effect-annotated) types, then the
         final query."""
-        ctx = TypeContext(schema, vars=dict(oid_types or {}))
+        ctx = TypeContext(schema, oids=oid_types or {})
         for d in p.definitions:
             ctx = ctx.with_def(d.name, self.check_definition(ctx, d))
         return self.check(ctx, p.query)
@@ -446,6 +446,6 @@ def effect_of(
     var_types: Mapping[str, Type] | None = None,
 ) -> Effect:
     """Convenience: the inferred effect ε of ``q`` under the base system."""
-    ctx = TypeContext(schema, defs=dict(defs or {}), vars=dict(var_types or {}))
+    ctx = TypeContext(schema, defs=dict(defs or {}), oids=var_types or {})
     _, eff = EffectChecker().check(ctx, q)
     return eff

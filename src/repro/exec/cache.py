@@ -25,6 +25,19 @@ trace of any run is a subeffect of the static effect):
   (snapshot restore, persistence load, transaction rollback) simply
   bumps the store version, which lazily invalidates every cached
   result — the safe default.
+
+Beside the plans the cache keeps **statements**: what the front end
+concluded about one source (text, or a ``Query`` object) — the
+resolved query, its Figure 1 type and its Figure 3 effect.  Both
+judgements are syntax-directed, so they are functions of E (the
+schema, part of the key through its fingerprint), D (the definitions
+version in the key) and the classes of the query's free oids (Q
+restricted to them; every other identifier the query mentions is bound
+inside it).  A statement is therefore keyed like a plan and
+revalidated on lookup against the live object environment: each free
+oid must still be live at the class it was checked at.  Writes never
+retype an oid; only a rollback or a restore removes one, and the
+revalidation catches both.
 """
 
 from __future__ import annotations
@@ -34,7 +47,9 @@ from dataclasses import dataclass, field
 
 from repro.effects.algebra import Effect
 from repro.exec.compiler import CompiledPlan
-from repro.lang.ast import Query
+from repro.lang.ast import OidRef, Query
+from repro.lang.traversal import free_vars, walk
+from repro.model.types import Type
 from repro.obs import flight as _flight
 
 
@@ -81,8 +96,58 @@ class PlanEntry:
     result_shard_reads: dict | None = field(default=None, repr=False)
 
 
+@dataclass(frozen=True)
+class Statement:
+    """One source as the front end sees it: parsed, typed, effect-checked.
+
+    ``type`` is ``None`` when Figure 1 did not run (``run(...,
+    typecheck=False)``); ``effect`` is ``None`` when Figure 3 rejected
+    the query, with the rejection in ``error``.  Only a statement both
+    judgements accepted is ever cached.  ``oids`` pairs each free
+    identifier that could name an oid with the class it had when the
+    judgements ran (``None``: not a live oid then).
+    """
+
+    query: Query
+    type: Type | None
+    effect: Effect | None
+    oids: tuple[tuple[str, str | None], ...] = ()
+    error: Exception | None = field(default=None, compare=False)
+
+    @staticmethod
+    def free_oids(q: Query, oe) -> tuple[tuple[str, str | None], ...]:
+        """The free oid names of ``q`` paired with their class in ``oe``.
+
+        Oid literals and free variables both resolve through Q's oid
+        part; a generator variable is bound inside ``q`` and counts
+        only where it occurs free.
+        """
+        names = {n.name for n in walk(q) if isinstance(n, OidRef)}
+        names |= free_vars(q)
+        return tuple(
+            (name, oe.class_of(name) if name in oe else None)
+            for name in sorted(names)
+        )
+
+    def valid_in(self, oe) -> bool:
+        """Does every free oid still have the class it was checked at?"""
+        for name, cname in self.oids:
+            if name in oe:
+                if oe.class_of(name) != cname:
+                    return False
+            elif cname is not None:
+                return False
+        return True
+
+
 class PlanCache:
     """Per-database cache of compiled plans, bounded, effect-evicted.
+
+    It also holds the checked :class:`Statement` of each recent source,
+    under the same key discipline and the same bound; writes never
+    evict a statement (see the module docstring).  ``hits``/``misses``
+    count plan lookups only, ``statement_hits``/``statement_misses``
+    statement lookups.
 
     All access is serialised on an internal lock: concurrent scheduled
     readers (``Database.run_many``) share one cache, and eviction
@@ -93,16 +158,19 @@ class PlanCache:
         self.fingerprint = fingerprint
         self.max_entries = max_entries
         self._entries: dict[tuple, PlanEntry] = {}
+        self._statements: dict[tuple, Statement] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.statement_hits = 0
+        self.statement_misses = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def _key(self, q: Query, defs_version: int) -> tuple:
+    def _key(self, q, defs_version: int) -> tuple:
         return (q, self.fingerprint, defs_version)
 
     def get(self, q: Query, defs_version: int) -> PlanEntry | None:
@@ -124,6 +192,37 @@ class PlanCache:
                 self._entries.pop(next(iter(self._entries)))
                 self.evictions += 1
             self._entries[key] = entry
+
+    def statement(self, source, defs_version: int, oe) -> Statement | None:
+        """The checked statement for ``source``, if still valid in ``oe``."""
+        key = self._key(source, defs_version)
+        with self._lock:
+            stmt = self._statements.get(key)
+            if stmt is not None and not stmt.valid_in(oe):
+                # a rollback or restore removed (or retyped) a free oid
+                del self._statements[key]
+                stmt = None
+            if stmt is None:
+                self.statement_misses += 1
+            else:
+                self.statement_hits += 1
+            return stmt
+
+    def put_statement(
+        self, source, defs_version: int, stmt: Statement
+    ) -> None:
+        key = self._key(source, defs_version)
+        with self._lock:
+            if (
+                key not in self._statements
+                and len(self._statements) >= self.max_entries
+            ):
+                self._statements.pop(next(iter(self._statements)))
+            self._statements[key] = stmt
+
+    def statement_count(self) -> int:
+        with self._lock:
+            return len(self._statements)
 
     def note_write(
         self, effect: Effect, pre: int, post: int, shard_writes=None
@@ -197,6 +296,7 @@ class PlanCache:
         with self._lock:
             self.evictions += len(self._entries)
             self._entries.clear()
+            self._statements.clear()
 
     def cached_queries(self) -> list[Query]:
         """The queries with a live entry (test/introspection helper)."""

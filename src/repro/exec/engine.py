@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 
 from repro.effects.algebra import Effect
-from repro.exec.cache import PlanEntry
+from repro.exec.cache import PlanEntry, Statement
 from repro.exec.compiler import CompiledPlan, NotCompilable, compile_plan
 from repro.exec.runtime import ExecContext, ReplanGuard, ReplanSignal
 from repro.lang.ast import Query
@@ -42,16 +42,18 @@ class PlanDecision:
         return "\n".join(lines)
 
 
-def decide(db, q: Query) -> PlanDecision:
-    """The compile/fallback decision for one parsed query."""
-    from repro.errors import ReproError
+def decide(db, stmt: Statement) -> PlanDecision:
+    """The compile/fallback decision for one checked statement.
 
-    try:
-        _, eff = db.typecheck_with_effect(q)
-    except ReproError as exc:
+    Reads the Figure 3 effect the statement carries; a statement
+    Figure 3 rejected runs on the reduction machine.
+    """
+    eff = stmt.effect
+    if eff is None:
         return PlanDecision(
-            "reduction", f"static analysis failed ({exc})"
+            "reduction", f"static analysis failed ({stmt.error})"
         )
+    q = stmt.query
     if eff.writes():
         written = ", ".join(sorted(eff.writes()))
         return PlanDecision(

@@ -36,13 +36,12 @@ from repro.lang.ast import Definition, New, Query, SetOp
 from repro.lang.traversal import walk
 from repro.lang.values import is_value
 from repro.model.schema import Schema
-from repro.model.types import ClassType, Type
 from repro.db.store import ExtentEnv, ObjectEnv
 from repro.semantics.bijection import equivalent
 from repro.semantics.explorer import explore
 from repro.semantics.machine import Config, Machine
 from repro.semantics.strategy import FIRST, Strategy
-from repro.typing.context import TypeContext
+from repro.typing.context import OidTypes, TypeContext
 
 
 @dataclass
@@ -59,10 +58,7 @@ class TheoremReport:
 
 
 def _ctx_for(schema: Schema, oe: ObjectEnv, defs=None) -> TypeContext:
-    oid_types: dict[str, Type] = {
-        oid: ClassType(rec.cname) for oid, rec in oe.items()
-    }
-    return TypeContext(schema, defs=dict(defs or {}), vars=oid_types)
+    return TypeContext(schema, defs=dict(defs or {}), oids=OidTypes(oe))
 
 
 def is_functional(q: Query, definitions: dict[str, Definition] | None = None) -> bool:

@@ -298,8 +298,10 @@ class QueryScheduler:
             adm = Admission(i, src)
             try:
                 maybe_fault("sched.admit")
-                adm.query = self.db.parse(src)
-                _, adm.effect = self.db.typecheck_with_effect(adm.query)
+                stmt = self.db._statement(src)
+                if stmt.effect is None:
+                    raise stmt.error
+                adm.query, adm.effect = stmt.query, stmt.effect
             except BaseException as exc:  # noqa: BLE001 - recorded, not lost
                 adm.error = exc
             if adm.ok:
@@ -525,7 +527,8 @@ class QueryScheduler:
                 )
             else:
                 res = self.db.run(
-                    adm.query,
+                    # the source keys the statement admission cached
+                    adm.source,
                     typecheck=False,  # Figures 1/3 already ran at admission
                     commit=writer,
                     budget=budget,

@@ -355,7 +355,7 @@ def check_program(schema: Schema, p: Program, *, oid_types: dict[str, Type] | No
     ``oid_types`` supplies the oid portion of Q for runtime
     configurations.
     """
-    ctx = TypeContext(schema, vars=dict(oid_types or {}))
+    ctx = TypeContext(schema, oids=oid_types or {})
     for d in p.definitions:
         if d.name in ctx.defs:
             raise IOQLTypeError(f"definition {d.name!r} given twice")
@@ -365,7 +365,7 @@ def check_program(schema: Schema, p: Program, *, oid_types: dict[str, Type] | No
 
 def program_context(schema: Schema, p: Program, *, oid_types: dict[str, Type] | None = None) -> TypeContext:
     """The context (E; D; Q) in scope for the final query of ``p``."""
-    ctx = TypeContext(schema, vars=dict(oid_types or {}))
+    ctx = TypeContext(schema, oids=oid_types or {})
     for d in p.definitions:
         ctx = ctx.with_def(d.name, check_definition(ctx, d))
     return ctx
